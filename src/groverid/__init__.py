@@ -5,8 +5,9 @@ schemes for the N phase oracles that flip the sign of a single basis
 state.  All scheme-level checks run in exact rational arithmetic.
 """
 
-from .amplitude import FLOAT_TOL, SqrtRational
+from .amplitude import SqrtRational
 from .discrimination import (
+    FLOAT_TOL,
     CanonicalBlock,
     DiscriminationGraph,
     SingleCopyState,

@@ -1,12 +1,13 @@
-"""Exact and floating-point amplitude values.
+"""Exact amplitude values.
 
 Every state in this package is acted on only by diagonal +/-1 operators
 and tensor products, so amplitudes are never added together; they are
 only multiplied and sign-flipped.  That makes ``sign * sqrt(mag2)`` with
 a rational ``mag2`` a closed exact representation for every state the
 constructions produce (all squared moduli in the source material are
-rational).  Arbitrary user states fall back to complex floats with a
-1e-9 tolerance.
+rational).  The only inner products the package takes are between two
+oracle outputs of one input state, <O_k psi|O_h psi> = sum_a |psi_a|^2
+(+/-1), so every overlap is a plain rational sum.
 """
 
 from __future__ import annotations
@@ -14,16 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-#: Tolerance for all float-mode equality checks (normalization, the
-#: half-sum test, zero overlaps).
-FLOAT_TOL = 1e-9
-
-#: Trial-division bound for square-part extraction.  Factors above this
-#: stay inside the surd key, which can only make an exact overlap fall
-#: back to float, never report a wrong exact value.
-_SPLIT_BOUND = 10**6
 
 
 @dataclass(frozen=True)
@@ -54,14 +45,6 @@ class SqrtRational:
             return cls.zero()
         return cls(1 if sign >= 0 else -1, mag2)
 
-    @classmethod
-    def from_rational(cls, q) -> "SqrtRational":
-        """The exact rational ``q`` itself (i.e. ``sign(q) * sqrt(q^2)``)."""
-        q = Fraction(q)
-        if q == 0:
-            return cls.zero()
-        return cls(1 if q > 0 else -1, q * q)
-
     def __mul__(self, other: "SqrtRational") -> "SqrtRational":
         if not isinstance(other, SqrtRational):
             return NotImplemented
@@ -82,30 +65,6 @@ class SqrtRational:
     def is_zero(self) -> bool:
         return self.sign == 0
 
-    def as_rational(self) -> Fraction | None:
-        """Exact rational value when mag2 is a perfect rational square."""
-        root = rational_sqrt(self.mag2)
-        if root is None:
-            return None
-        return self.sign * root
-
-
-#: An amplitude: exact (SqrtRational) or floating point (complex).
-AmpValue = Union[SqrtRational, complex]
-
-
-def value_mag2(v: AmpValue) -> Fraction | float:
-    """Squared modulus of an amplitude, exact when the amplitude is."""
-    if isinstance(v, SqrtRational):
-        return v.mag2
-    return abs(v) ** 2
-
-
-def value_to_complex(v: AmpValue) -> complex:
-    if isinstance(v, SqrtRational):
-        return complex(float(v))
-    return complex(v)
-
 
 def rational_sqrt(q: Fraction) -> Fraction | None:
     """sqrt(q) as a Fraction when q is a perfect rational square, else None."""
@@ -118,51 +77,17 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def square_split(n: int) -> tuple[int, int]:
-    """Write n = s*s * f with f squarefree (up to factors beyond the trial
-    bound), returning (s, f).  n must be positive."""
-    s, f = 1, 1
-    d = 2
-    while d * d <= n and d <= _SPLIT_BOUND:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            s *= d ** (e // 2)
-            if e % 2:
-                f *= d
-        d += 1 if d == 2 else 2
-    return s, f * n
+def signed_sqrt_sum(terms: list[tuple[int, Fraction]]) -> Fraction:
+    """Exact sum of the values sign*sqrt(mag2).
 
-
-def sqrt_decompose(m: Fraction) -> tuple[Fraction, int]:
-    """Write sqrt(m) = coeff * sqrt(f) with f a squarefree integer,
-    returning (coeff, f).  m must be nonnegative."""
-    if m == 0:
-        return Fraction(0), 1
-    s, f = square_split(m.numerator * m.denominator)
-    return Fraction(s, m.denominator), f
-
-
-def signed_sqrt_sum(terms: list[tuple[int, Fraction]]) -> Fraction | float:
-    """Exact sum of values sign*sqrt(mag2), grouping by squarefree surd.
-
-    Returns a Fraction when the surd parts cancel down to a rational
-    (in particular an exact 0), a float otherwise.
+    Every mag2 must be a perfect rational square, which holds for each
+    cross term of two oracle outputs of one state (there mag2 is
+    |psi_a|^4); any other term raises ValueError.
     """
-    by_surd: dict[int, Fraction] = {}
+    total = Fraction(0)
     for sign, mag2 in terms:
-        if sign == 0 or mag2 == 0:
-            continue
-        coeff, surd = sqrt_decompose(mag2)
-        acc = by_surd.get(surd, Fraction(0)) + sign * coeff
-        if acc:
-            by_surd[surd] = acc
-        else:
-            by_surd.pop(surd, None)
-    if not by_surd:
-        return Fraction(0)
-    if set(by_surd) == {1}:
-        return by_surd[1]
-    return sum(float(c) * math.sqrt(f) for f, c in by_surd.items())
+        root = rational_sqrt(mag2)
+        if root is None:
+            raise ValueError(f"sqrt({mag2}) is not rational")
+        total += sign * root
+    return total

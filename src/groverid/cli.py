@@ -102,7 +102,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     if isinstance(scheme, WeightProfile):
         report = verify_entangled(scheme)
     else:
-        report = verify_product(scheme, max_tuples=args.max_tuples)
+        report = verify_product(scheme)
     if not report.valid:
         print(f"invalid: {len(report.failing_pairs)} failing pair(s)", file=sys.stderr)
     return report_to_doc(report), EXIT_OK if report.valid else EXIT_NEGATIVE
@@ -190,8 +190,17 @@ def _parse_block_spec(spec: str, n: int) -> CanonicalBlock:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors reach main as ValueError, so they are
+    reported as one usage-error JSON document like every other error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groverid",
         description="Exact parallel discrimination schemes for phase oracles.",
     )
@@ -210,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a scheme file")
     p.add_argument("--scheme", required=True, help="scheme JSON file or builtin name")
-    p.add_argument("--max-tuples", type=int, default=DEFAULT_MAX_TUPLES)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="exact minimal schemes at small n")
@@ -239,9 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload, code = args.func(args)
     except SchemaError as exc:
         print(f"malformed input: {exc}", file=sys.stderr)

@@ -12,18 +12,33 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .amplitude import (
-    FLOAT_TOL,
-    AmpValue,
-    SqrtRational,
-    value_mag2,
-    value_to_complex,
-)
+from .amplitude import SqrtRational
 from .exceptions import TrivialStateError
 
+#: Tolerance of the float-mode checks on one-copy states (normalization
+#: and the half-sum test); exact states never use it.
+FLOAT_TOL = 1e-9
+
+#: A one-copy amplitude: exact (SqrtRational) or floating point (complex).
+AmpValue = Union[SqrtRational, complex]
+
 Edge = tuple[int, int]
+
+
+def value_mag2(v: AmpValue) -> Fraction | float:
+    """Squared modulus of an amplitude, exact when the amplitude is."""
+    if isinstance(v, SqrtRational):
+        return v.mag2
+    m = abs(v)
+    return m * m  # overflows to inf, which the norm check rejects
+
+
+def value_to_complex(v: AmpValue) -> complex:
+    if isinstance(v, SqrtRational):
+        return complex(float(v))
+    return complex(v)
 
 
 def all_pairs(n: int) -> list[Edge]:
@@ -62,7 +77,7 @@ class SingleCopyState:
         if exact:
             if norm != 1:
                 raise ValueError(f"exact state has squared norm {norm}, expected 1")
-        elif abs(norm - 1.0) > FLOAT_TOL:
+        elif not abs(norm - 1.0) <= FLOAT_TOL:  # also rejects NaN
             raise ValueError(f"state has squared norm {norm!r}, expected 1 +/- {FLOAT_TOL}")
 
     def mag2(self, i: int) -> Fraction | float:

@@ -6,7 +6,7 @@ sees the target index and a run on a t-copy scheme costs exactly t
 recorded applications.  Classification compares the black-box output
 against the precomputed outputs of every candidate oracle; for a valid
 scheme those are mutually orthogonal, so exactly one overlap has unit
-magnitude.
+magnitude.  Overlaps are exact rationals and are compared with ``==``.
 """
 
 from __future__ import annotations
@@ -15,16 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .amplitude import FLOAT_TOL
 from .discrimination import all_pairs
 from .exceptions import AmbiguousClassificationError
 from .oracle import AmpState, GroverOracle, apply_oracle, apply_oracle_to_copy, overlap
-from .schemes import DEFAULT_MAX_TUPLES, Scheme, expand_to_state
-
-#: Float-mode classification thresholds: accept at or above the high
-#: mark, reject at or below the low mark, anything between is ambiguous.
-ACCEPT_THRESHOLD = 1 - 1e-6
-REJECT_THRESHOLD = 1e-6
+from .schemes import DEFAULT_MAX_TUPLES, ProductScheme, Scheme, expand_to_state
 
 
 class OracleBlackBox:
@@ -52,7 +46,7 @@ class IdentificationRun:
     scheme: Scheme
     hidden_queries_used: int
     identified: int
-    per_candidate_overlaps: tuple[Union[Fraction, float], ...]
+    per_candidate_overlaps: tuple[Fraction, ...]
 
 
 def run_identification(
@@ -66,11 +60,17 @@ def run_identification(
     The scheme is expected to pass its verifier; running an invalid one
     surfaces as AmbiguousClassificationError, since its candidate
     outputs are not mutually orthogonal.  Query count equals the
-    scheme's copy count.
+    scheme's copy count: the empty n=1 scheme names its only candidate
+    without a query.
     """
     box = hidden if isinstance(hidden, OracleBlackBox) else OracleBlackBox(hidden)
     if box.n != scheme.n:
         raise ValueError(f"hidden oracle dimension {box.n} != scheme dimension {scheme.n}")
+    if isinstance(scheme, ProductScheme) and not scheme.blocks:
+        return IdentificationRun(
+            n=1, scheme=scheme, hidden_queries_used=0, identified=1,
+            per_candidate_overlaps=(Fraction(1),),
+        )
 
     psi = expand_to_state(scheme, max_tuples=max_tuples)
     calls_before = box.calls
@@ -79,16 +79,15 @@ def run_identification(
         out = box.apply(out, copy)
     queries = box.calls - calls_before
 
-    magnitudes: list[Union[Fraction, float]] = []
+    magnitudes: list[Fraction] = []
     matches: list[int] = []
     for k in range(1, scheme.n + 1):
         candidate = apply_oracle(GroverOracle(scheme.n, k), psi)
-        value = overlap(candidate, out)
-        mag = abs(value)
+        mag = abs(overlap(candidate, out))
         magnitudes.append(mag)
-        if mag >= ACCEPT_THRESHOLD:
+        if mag == 1:
             matches.append(k)
-        elif mag > REJECT_THRESHOLD:
+        elif mag != 0:
             raise AmbiguousClassificationError(
                 f"candidate {k} has overlap magnitude {float(mag)!r}, neither 0 nor 1"
             )
@@ -105,18 +104,22 @@ def run_identification(
     )
 
 
-def exhaustive_check(scheme: Scheme, *, max_tuples: int = DEFAULT_MAX_TUPLES) -> bool:
-    """True when all pairwise candidate-output overlaps vanish, exactly
-    where possible; equivalent to the scheme verifier's verdict."""
+def tensor_failing_pairs(
+    scheme: Scheme, *, max_tuples: int = DEFAULT_MAX_TUPLES
+) -> tuple[tuple[int, int], ...]:
+    """Reference check from the definition: expand the scheme's input
+    state, apply every candidate oracle, and return the pairs whose
+    outputs are not exactly orthogonal."""
+    if scheme.n == 1:
+        return ()  # no pair, and the empty n=1 scheme has no input state
     psi = expand_to_state(scheme, max_tuples=max_tuples)
     outputs = {
         k: apply_oracle(GroverOracle(scheme.n, k), psi) for k in range(1, scheme.n + 1)
     }
-    for i, j in all_pairs(scheme.n):
-        value = overlap(outputs[i], outputs[j])
-        if isinstance(value, Fraction):
-            if value != 0:
-                return False
-        elif abs(value) > FLOAT_TOL:
-            return False
-    return True
+    return tuple(p for p in all_pairs(scheme.n) if overlap(outputs[p[0]], outputs[p[1]]) != 0)
+
+
+def exhaustive_check(scheme: Scheme, *, max_tuples: int = DEFAULT_MAX_TUPLES) -> bool:
+    """True when all pairwise candidate-output overlaps vanish exactly;
+    equivalent to the scheme verifier's verdict."""
+    return not tensor_failing_pairs(scheme, max_tuples=max_tuples)

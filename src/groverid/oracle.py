@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .amplitude import (
-    FLOAT_TOL,
-    AmpValue,
-    SqrtRational,
-    signed_sqrt_sum,
-    value_mag2,
-    value_to_complex,
-)
+from .amplitude import SqrtRational, signed_sqrt_sum
 from .exceptions import ResourceCapError
 
 #: Default cap on the number of compositions an enumeration may produce.
@@ -142,55 +135,41 @@ def enumerate_compositions(
 
 
 class AmpState:
-    """Sparse t-copy state: a map from basis tuples to amplitudes.
+    """Sparse exact t-copy state: a map from basis tuples to SqrtRational
+    amplitudes.  Instances are immutable after construction and safe to
+    share."""
 
-    The state is exact when every amplitude is a SqrtRational; any float
-    amplitude coerces the whole state to complex floats.  Instances are
-    immutable after construction and safe to share.
-    """
+    __slots__ = ("n", "t", "amps")
 
-    __slots__ = ("n", "t", "amps", "exact")
-
-    def __init__(self, n: int, t: int, amps: Mapping[BasisTuple, AmpValue]):
+    def __init__(self, n: int, t: int, amps: Mapping[BasisTuple, SqrtRational]):
         if n < 1 or t < 1:
             raise ValueError("need n >= 1 and t >= 1")
-        exact = all(isinstance(v, SqrtRational) for v in amps.values())
-        store: dict[BasisTuple, AmpValue] = {}
+        store: dict[BasisTuple, SqrtRational] = {}
         for a, v in amps.items():
             a = tuple(a)
             if len(a) != t:
                 raise ValueError(f"tuple {a} has length {len(a)}, expected t={t}")
             validate_tuple(a, n)
-            if exact:
-                if not v.is_zero:
-                    store[a] = v
-            else:
-                v = value_to_complex(v)
-                if v != 0:
-                    store[a] = v
+            if not isinstance(v, SqrtRational):
+                raise TypeError(f"amplitude of {a} must be a SqrtRational, got {type(v).__name__}")
+            if not v.is_zero:
+                store[a] = v
         self.n = n
         self.t = t
         self.amps = store
-        self.exact = exact
-        norm = sum(value_mag2(v) for v in store.values())
-        if exact:
-            if norm != 1:
-                raise ValueError(f"exact state has squared norm {norm}, expected 1")
-        elif abs(norm - 1.0) > FLOAT_TOL:
-            raise ValueError(f"state has squared norm {norm!r}, expected 1 +/- {FLOAT_TOL}")
+        norm = sum((v.mag2 for v in store.values()), Fraction(0))
+        if norm != 1:
+            raise ValueError(f"exact state has squared norm {norm}, expected 1")
 
-    def mag2(self, a: BasisTuple) -> Fraction | float:
+    def mag2(self, a: BasisTuple) -> Fraction:
         v = self.amps.get(tuple(a))
-        if v is None:
-            return Fraction(0) if self.exact else 0.0
-        return value_mag2(v)
+        return Fraction(0) if v is None else v.mag2
 
     def tuples(self) -> Iterable[BasisTuple]:
         return self.amps.keys()
 
     def __repr__(self) -> str:
-        mode = "exact" if self.exact else "float"
-        return f"AmpState(n={self.n}, t={self.t}, {len(self.amps)} tuples, {mode})"
+        return f"AmpState(n={self.n}, t={self.t}, {len(self.amps)} tuples)"
 
 
 def _check_same_shape(oracle: GroverOracle, state: AmpState) -> None:
@@ -202,7 +181,7 @@ def apply_oracle(oracle: GroverOracle, state: AmpState) -> AmpState:
     """Apply the oracle to every copy at once: the amplitude of tuple a
     picks up one sign flip per occurrence of the target in a."""
     _check_same_shape(oracle, state)
-    new_amps: dict[BasisTuple, AmpValue] = {}
+    new_amps: dict[BasisTuple, SqrtRational] = {}
     for a, v in state.amps.items():
         if a.count(oracle.target) % 2 == 1:
             v = -v
@@ -215,7 +194,7 @@ def apply_oracle_to_copy(oracle: GroverOracle, state: AmpState, copy: int) -> Am
     _check_same_shape(oracle, state)
     if not 1 <= copy <= state.t:
         raise ValueError(f"copy slot {copy} out of range 1..{state.t}")
-    new_amps: dict[BasisTuple, AmpValue] = {}
+    new_amps: dict[BasisTuple, SqrtRational] = {}
     for a, v in state.amps.items():
         if a[copy - 1] == oracle.target:
             v = -v
@@ -223,28 +202,20 @@ def apply_oracle_to_copy(oracle: GroverOracle, state: AmpState, copy: int) -> Am
     return AmpState(state.n, state.t, new_amps)
 
 
-def overlap(x: AmpState, y: AmpState) -> Fraction | complex:
-    """Inner product <x|y>.
+def overlap(x: AmpState, y: AmpState) -> Fraction:
+    """Inner product <x|y> as an exact Fraction.
 
-    Exact Fraction when both states are exact and the surd parts of the
-    cross terms cancel to a rational (always the case for two oracle
-    outputs of a common input state); complex float otherwise.
+    Each cross term is sign * sqrt(mag2_x * mag2_y).  For two oracle
+    outputs of one input state mag2_x == mag2_y on every tuple, so the
+    sum is rational term by term; states whose cross terms are not
+    rational raise ValueError.
     """
     if (x.n, x.t) != (y.n, y.t):
         raise ValueError(
             f"shape mismatch: ({x.n}, {x.t}) vs ({y.n}, {y.t})"
         )
-    common = x.amps.keys() & y.amps.keys()
-    if x.exact and y.exact:
-        terms = []
-        for a in common:
-            xv, yv = x.amps[a], y.amps[a]
-            terms.append((xv.sign * yv.sign, xv.mag2 * yv.mag2))
-        result = signed_sqrt_sum(terms)
-        if isinstance(result, Fraction):
-            return result
-        return complex(result)
-    total = 0j
-    for a in common:
-        total += value_to_complex(x.amps[a]).conjugate() * value_to_complex(y.amps[a])
-    return total
+    terms = []
+    for a in x.amps.keys() & y.amps.keys():
+        xv, yv = x.amps[a], y.amps[a]
+        terms.append((xv.sign * yv.sign, xv.mag2 * yv.mag2))
+    return signed_sqrt_sum(terms)

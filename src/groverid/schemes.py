@@ -14,40 +14,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .amplitude import FLOAT_TOL, AmpValue, SqrtRational, value_to_complex
-from .discrimination import (
-    CanonicalBlock,
-    DiscriminationGraph,
-    SingleCopyState,
-    all_pairs,
-    block_graph,
-    block_state,
-    discrimination_graph,
-)
+from .amplitude import SqrtRational
+from .discrimination import CanonicalBlock, all_pairs, block_graph, block_state
 from .exceptions import IndistinguishableError, ResourceCapError
-from .oracle import AmpState, Composition, overlap, tau_parity
+from .oracle import AmpState, Composition, tau_parity
 
 #: Default cap on the tuple count of an expanded tensor state.
 DEFAULT_MAX_TUPLES = 1_000_000
 
-Block = Union[CanonicalBlock, SingleCopyState]
-
 
 class ProductScheme:
-    """Ordered list of one-copy blocks; the input state is their tensor
-    product.  An empty scheme is allowed only for n=1, where there is
-    nothing to discriminate."""
+    """Ordered list of canonical one-copy blocks; the input state is
+    their tensor product.  An empty scheme is allowed only for n=1,
+    where there is nothing to discriminate."""
 
     __slots__ = ("n", "blocks")
 
-    def __init__(self, n: int, blocks: Sequence[Block]):
+    def __init__(self, n: int, blocks: Sequence[CanonicalBlock]):
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
         blocks = tuple(blocks)
         if not blocks and n != 1:
             raise ValueError("empty scheme is only valid for n=1")
         for b in blocks:
-            if not isinstance(b, (CanonicalBlock, SingleCopyState)):
+            if not isinstance(b, CanonicalBlock):
                 raise TypeError(f"unsupported block type {type(b).__name__}")
             if b.n != n:
                 raise ValueError(f"block on dimension {b.n} in scheme for n={n}")
@@ -99,7 +89,7 @@ Scheme = Union[ProductScheme, WeightProfile]
 @dataclass(frozen=True)
 class PairDefect:
     pair: tuple[int, int]
-    defect: Fraction | float | None
+    defect: Fraction | None
 
 
 @dataclass(frozen=True)
@@ -113,18 +103,6 @@ class SchemeReport:
     def __post_init__(self):
         if self.valid != (not self.failing_pairs):
             raise ValueError("valid must match emptiness of failing_pairs")
-
-
-def scheme_block_graph(b: Block) -> DiscriminationGraph:
-    if isinstance(b, CanonicalBlock):
-        return block_graph(b)
-    return discrimination_graph(b)
-
-
-def scheme_block_state(b: Block) -> SingleCopyState:
-    if isinstance(b, CanonicalBlock):
-        return block_state(b)
-    return b
 
 
 def construct_product_scheme(n: int) -> ProductScheme:
@@ -165,45 +143,16 @@ def construction_size(n: int) -> int:
     return 2 * (n // 3) + n % 3
 
 
-def verify_product(
-    s: ProductScheme, *, cross_check: bool = False, max_tuples: int = DEFAULT_MAX_TUPLES
-) -> SchemeReport:
+def verify_product(s: ProductScheme) -> SchemeReport:
     """Coverage check: the blocks' graphs must union to the complete
-    graph.  With cross_check, additionally expands the tensor state and
-    confirms every covered pair's output overlap vanishes."""
+    graph."""
     covered: set[tuple[int, int]] = set()
     for b in s.blocks:
-        covered |= scheme_block_graph(b).edges
+        covered |= block_graph(b).edges
     failing = tuple(
         PairDefect(p, None) for p in all_pairs(s.n) if p not in covered
     )
-    method = "coverage-check"
-    if cross_check:
-        tensor_failing = _tensor_failing_pairs(s, max_tuples=max_tuples)
-        if tensor_failing != tuple(d.pair for d in failing):
-            raise RuntimeError(
-                "coverage check and full-tensor check disagree: "
-                f"{[d.pair for d in failing]} vs {list(tensor_failing)}"
-            )
-        method = "full-tensor"
-    return SchemeReport(valid=not failing, method=method, failing_pairs=failing)
-
-
-def _tensor_failing_pairs(s: ProductScheme, *, max_tuples: int) -> tuple[tuple[int, int], ...]:
-    from .oracle import GroverOracle, apply_oracle
-
-    psi = expand_to_state(s, max_tuples=max_tuples)
-    outputs = {k: apply_oracle(GroverOracle(s.n, k), psi) for k in range(1, s.n + 1)}
-    failing = []
-    for i, j in all_pairs(s.n):
-        value = overlap(outputs[i], outputs[j])
-        if isinstance(value, Fraction):
-            zero = value == 0
-        else:
-            zero = abs(value) <= FLOAT_TOL
-        if not zero:
-            failing.append((i, j))
-    return tuple(failing)
+    return SchemeReport(valid=not failing, method="coverage-check", failing_pairs=failing)
 
 
 def verify_entangled(w: WeightProfile) -> SchemeReport:
@@ -238,32 +187,21 @@ def expand_to_state(s: Scheme, *, max_tuples: int = DEFAULT_MAX_TUPLES) -> AmpSt
         return AmpState(s.n, s.t, amps)
     if not s.blocks:
         raise ValueError("an empty scheme has no input state")
-    states = [scheme_block_state(b) for b in s.blocks]
-
-    def nonzero(v: AmpValue) -> bool:
-        return not v.is_zero if isinstance(v, SqrtRational) else v != 0
-
     supports = [
-        [(i, v) for i, v in enumerate(st.amps, start=1) if nonzero(v)]
-        for st in states
+        [(i, v) for i, v in enumerate(block_state(b).amps, start=1) if not v.is_zero]
+        for b in s.blocks
     ]
     count = math.prod(len(sup) for sup in supports)
     if count > max_tuples:
         raise ResourceCapError(f"{count} tuples exceeds cap {max_tuples}")
-    exact = all(st.exact for st in states)
-    amps: dict[tuple[int, ...], AmpValue] = {}
+    amps: dict[tuple[int, ...], SqrtRational] = {}
     for combo in itertools.product(*supports):
         key = tuple(i for i, _ in combo)
-        if exact:
-            value: AmpValue = SqrtRational.sqrt(Fraction(1))
-            for _, v in combo:
-                value = value * v
-        else:
-            value = complex(1)
-            for _, v in combo:
-                value *= value_to_complex(v)
+        value = SqrtRational.sqrt(Fraction(1))
+        for _, v in combo:
+            value = value * v
         amps[key] = value
-    return AmpState(s.n, len(states), amps)
+    return AmpState(s.n, len(supports), amps)
 
 
 def builtin(name: str, diag: int = 3) -> Scheme:

@@ -56,8 +56,6 @@ def scheme_to_doc(scheme: Scheme) -> dict:
         }
     blocks = []
     for b in scheme.blocks:
-        if not isinstance(b, CanonicalBlock):
-            raise ValueError("only canonical-block schemes serialize to JSON")
         if b.kind == "pair":
             blocks.append({"type": "pair", "i": b.indices[0], "j": b.indices[1]})
         elif b.kind == "quad":

@@ -1,17 +1,10 @@
-"""Tests for the exact amplitude carrier and surd arithmetic."""
+"""Tests for the exact amplitude carrier and rational overlap sums."""
 
-import math
 from fractions import Fraction
 
 import pytest
 
-from groverid.amplitude import (
-    SqrtRational,
-    rational_sqrt,
-    signed_sqrt_sum,
-    sqrt_decompose,
-    square_split,
-)
+from groverid.amplitude import SqrtRational, rational_sqrt, signed_sqrt_sum
 
 
 class TestSqrtRational:
@@ -23,12 +16,6 @@ class TestSqrtRational:
         with pytest.raises(ValueError):
             SqrtRational(0, Fraction(1, 2))
 
-    def test_from_rational(self):
-        v = SqrtRational.from_rational(Fraction(-3, 4))
-        assert v.sign == -1
-        assert v.mag2 == Fraction(9, 16)
-        assert float(v) == -0.75
-
     def test_multiplication_and_negation(self):
         a = SqrtRational.sqrt(Fraction(1, 2))
         b = SqrtRational.sqrt(Fraction(1, 3), sign=-1)
@@ -38,10 +25,6 @@ class TestSqrtRational:
         assert (-prod).sign == 1
         assert (a * SqrtRational.zero()).is_zero
 
-    def test_as_rational(self):
-        assert SqrtRational.sqrt(Fraction(9, 4)).as_rational() == Fraction(3, 2)
-        assert SqrtRational.sqrt(Fraction(1, 2)).as_rational() is None
-
 
 class TestDecomposition:
     def test_rational_sqrt(self):
@@ -49,35 +32,20 @@ class TestDecomposition:
         assert rational_sqrt(Fraction(2)) is None
         assert rational_sqrt(Fraction(0)) == 0
 
-    def test_square_split(self):
-        assert square_split(1) == (1, 1)
-        assert square_split(18) == (3, 2)
-        assert square_split(360) == (6, 10)
-        s, f = square_split(97)  # prime stays in the surd
-        assert (s, f) == (1, 97)
-
-    def test_sqrt_decompose(self):
-        coeff, surd = sqrt_decompose(Fraction(2, 9))
-        assert (coeff, surd) == (Fraction(1, 3), 2)
-        coeff, surd = sqrt_decompose(Fraction(1, 36))
-        assert (coeff, surd) == (Fraction(1, 6), 1)
-        assert coeff * math.sqrt(surd) == pytest.approx(math.sqrt(1 / 36))
-
 
 class TestSignedSqrtSum:
     def test_exact_zero_across_different_mag2(self):
-        # sqrt(2/9) - sqrt(8/36) cancels exactly: both are (1/3) sqrt(2)
-        terms = [(1, Fraction(2, 9)), (-1, Fraction(8, 36))]
+        # sqrt(1/4) - sqrt(1/16) - sqrt(1/16) cancels exactly
+        terms = [(1, Fraction(1, 4)), (-1, Fraction(1, 16)), (-1, Fraction(1, 16))]
         assert signed_sqrt_sum(terms) == Fraction(0)
 
     def test_rational_total(self):
         terms = [(1, Fraction(1, 4)), (1, Fraction(1, 4)), (-1, Fraction(1, 16))]
         assert signed_sqrt_sum(terms) == Fraction(3, 4)
 
-    def test_float_fallback_for_mixed_surds(self):
-        value = signed_sqrt_sum([(1, Fraction(2)), (1, Fraction(3))])
-        assert isinstance(value, float)
-        assert value == pytest.approx(math.sqrt(2) + math.sqrt(3))
+    def test_non_square_term_raises(self):
+        with pytest.raises(ValueError):
+            signed_sqrt_sum([(1, Fraction(1, 4)), (1, Fraction(2, 9))])
 
     def test_empty_and_zero_terms(self):
         assert signed_sqrt_sum([]) == Fraction(0)

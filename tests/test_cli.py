@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from groverid.cli import main
 
 
@@ -36,6 +38,25 @@ class TestBounds:
     def test_missing_n_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bounds")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify",),
+        ("bounds", "--n", "abc"),
+        ("frobnicate",),
+        (),
+        ("verify", "--scheme", "n5-product", "--max-tuples", "10"),
+    ],
+    ids=["missing-scheme", "bad-int", "unknown-command", "no-command", "unknown-flag"],
+)
+def test_argument_errors_print_one_usage_document(capsys, argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["error"] == "usage"
+    assert "usage:" in err
 
 
 class TestBuildAndVerify:
@@ -203,6 +224,11 @@ class TestIdentify:
         )
         assert code == 2
 
+    def test_n1_needs_no_query(self, capsys):
+        code, payload, _ = run_cli(capsys, "identify", "--n", "1", "--hidden", "1")
+        assert code == 0
+        assert payload == {"identified": 1, "queries": 0}
+
     def test_invalid_scheme_is_ambiguous_exits_1(self, capsys, tmp_path):
         doc = {"kind": "product", "n": 3, "blocks": [{"type": "pair", "i": 1, "j": 2}]}
         path = tmp_path / "uncovering.json"
@@ -243,6 +269,14 @@ class TestGraph:
         path.write_text(json.dumps({"n": 5, "amps": [{"i": 1, "mag2": "1/3"}]}))
         code, payload, _ = run_cli(capsys, "graph", "--state", str(path))
         assert code == 3
+
+    @pytest.mark.parametrize("text", ["NaN", "1e200"])
+    def test_non_finite_float_state_exits_3(self, capsys, tmp_path, text):
+        path = tmp_path / "state.json"
+        path.write_text('{"n": 4, "amps": [{"i": 1, "re": %s}]}' % text)
+        code, payload, _ = run_cli(capsys, "graph", "--state", str(path))
+        assert code == 3
+        assert payload["error"] == "malformed-input"
 
     def test_bad_block_spec_exits_2(self, capsys):
         code, payload, _ = run_cli(capsys, "graph", "--block", "pair 1", "--n", "6")

@@ -28,15 +28,19 @@ def lift(s):
 
 
 def graph_via_inner_products(s):
-    """Independent graph oracle: pairs where <psi| f_i f_j |psi> vanishes."""
-    psi = lift(s)
+    """Independent graph oracle: pairs where <psi| f_i f_j |psi> vanishes.
+    Exact states go through the exact overlap; float states, which
+    multi-copy states cannot hold, are summed here in floats."""
     edges = []
     for i, j in all_pairs(s.n):
-        out = apply_oracle(GroverOracle(s.n, i), apply_oracle(GroverOracle(s.n, j), psi))
-        value = overlap(psi, out)
-        if isinstance(value, Fraction):
-            zero = value == 0
+        if s.exact:
+            psi = lift(s)
+            out = apply_oracle(GroverOracle(s.n, i), apply_oracle(GroverOracle(s.n, j), psi))
+            zero = overlap(psi, out) == 0
         else:
+            value = sum(
+                abs(v) ** 2 * (-1 if a in (i, j) else 1) for a, v in enumerate(s.amps, start=1)
+            )
             zero = abs(value) <= 1e-9
         if zero:
             edges.append((i, j))

@@ -1,5 +1,7 @@
 """Tests for black-box identification runs."""
 
+from fractions import Fraction
+
 import pytest
 
 from groverid.discrimination import CanonicalBlock
@@ -41,6 +43,7 @@ class TestRunIdentification:
         zero = [mag for mag in run.per_candidate_overlaps if mag == 0]
         assert unit == [2]
         assert len(zero) == 4
+        assert all(type(mag) is Fraction for mag in run.per_candidate_overlaps)
 
     def test_black_box_counts_queries(self):
         box = OracleBlackBox(GroverOracle(6, 5))
@@ -62,18 +65,12 @@ class TestRunIdentification:
         with pytest.raises(ValueError):
             run_identification(builtin("n4-single"), GroverOracle(5, 1))
 
-    def test_float_mode_scheme_identifies(self):
-        from groverid.discrimination import SingleCopyState, block_state
-
-        float_blocks = [
-            SingleCopyState(5, [complex(float(v)) for v in block_state(b).amps])
-            for b in builtin("n5-product").blocks
-        ]
-        scheme = ProductScheme(5, float_blocks)
-        for k in range(1, 6):
-            run = run_identification(scheme, GroverOracle(5, k))
-            assert run.identified == k
-            assert isinstance(run.per_candidate_overlaps[k - 1], float)
+    def test_empty_n1_scheme_needs_no_query(self):
+        scheme = ProductScheme(1, [])
+        run = run_identification(scheme, GroverOracle(1, 1))
+        assert run.identified == 1
+        assert run.hidden_queries_used == 0
+        assert exhaustive_check(scheme)
 
     def test_agreement_with_exhaustive_check(self):
         import random

@@ -6,8 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverid.amplitude import SqrtRational
+from groverid.discrimination import CanonicalBlock
 from groverid.exceptions import ResourceCapError
 from groverid.oracle import (
     AmpState,
@@ -21,6 +24,7 @@ from groverid.oracle import (
     overlap,
     tau_parity,
 )
+from groverid.schemes import ProductScheme, expand_to_state
 
 
 def brute_tau(a, i, j):
@@ -76,12 +80,10 @@ class TestGroverOracle:
         for _ in range(25):
             n = rng.randint(2, 6)
             t = rng.randint(1, 3)
-            state = random_float_state(rng, n, t)
+            state = random_exact_state(rng, n, t)
             o = GroverOracle(n, rng.randint(1, n))
             back = apply_oracle(o, apply_oracle(o, state))
-            assert back.amps.keys() == state.amps.keys()
-            for a in state.amps:
-                assert back.amps[a] == pytest.approx(state.amps[a])
+            assert back.amps == state.amps
 
     def test_per_copy_applications_compose_to_full(self):
         state = phi6_state()
@@ -95,16 +97,6 @@ class TestGroverOracle:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_oracle(GroverOracle(5, 1), phi6_state())
-
-
-def random_float_state(rng, n, t, support=None):
-    tuples = list(itertools.product(range(1, n + 1), repeat=t))
-    if support is None:
-        support = rng.randint(1, len(tuples))
-    chosen = rng.sample(tuples, support)
-    raw = {a: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for a in chosen}
-    norm = math.sqrt(sum(abs(v) ** 2 for v in raw.values()))
-    return AmpState(n, t, {a: v / norm for a, v in raw.items()})
 
 
 def random_exact_state(rng, n, t):
@@ -219,13 +211,14 @@ class TestOverlap:
         value = overlap(out1, out2)
         assert value == Fraction(0)
 
-    def test_mixed_surds_fall_back_to_float(self):
+    def test_mixed_surds_raise(self):
+        # cross terms sqrt(1/3 * 1/2) are irrational: not an overlap the
+        # program ever takes, so it is refused rather than approximated
         third = SqrtRational.sqrt(Fraction(1, 3))
         x = AmpState(3, 1, {(1,): third, (2,): third, (3,): third})
         y = uniform_pair_state(3, 1, 2)
-        value = overlap(x, y)
-        assert isinstance(value, complex)
-        assert value.real == pytest.approx(2 / math.sqrt(6))
+        with pytest.raises(ValueError):
+            overlap(x, y)
 
     def test_sign_rule_under_oracle_pair(self):
         # applying f_i then f_j flips a tuple's sign exactly when the
@@ -245,35 +238,49 @@ class TestOverlap:
             assert sign == (-1) ** parity
 
     def test_norm_preserved_under_oracles(self):
+        # x and y share squared moduli but not signs, so <x|y> is rational
         rng = random.Random(23)
         for _ in range(20):
             n = rng.randint(2, 5)
             t = rng.randint(1, 2)
-            x = random_float_state(rng, n, t)
-            y = random_float_state(rng, n, t)
+            x = random_exact_state(rng, n, t)
+            y = AmpState(
+                n, t, {a: SqrtRational.sqrt(v.mag2, rng.choice((-1, 1))) for a, v in x.amps.items()}
+            )
             o = GroverOracle(n, rng.randint(1, n))
             before = abs(overlap(x, y))
             after = abs(overlap(apply_oracle(o, x), apply_oracle(o, y)))
-            assert after == pytest.approx(before, abs=1e-9)
+            assert after == before
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             overlap(uniform_pair_state(5, 1, 2), uniform_pair_state(6, 1, 2))
 
-    def test_exact_agrees_with_float_on_random_exact_states(self):
-        # differential check: the exact path must compute the same value
-        # the float path does, not just the same zero set
-        rng = random.Random(71)
-        for _ in range(60):
-            n = rng.randint(2, 5)
-            t = rng.randint(1, 2)
-            x = random_exact_state(rng, n, t)
-            y = random_exact_state(rng, n, t)
-            exact = overlap(x, y)
-            fx = AmpState(n, t, {a: complex(float(v)) for a, v in x.amps.items()})
-            fy = AmpState(n, t, {a: complex(float(v)) for a, v in y.amps.items()})
-            approx = overlap(fx, fy)
-            assert complex(exact) == pytest.approx(approx, abs=1e-9)
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_product_overlap_factorizes(self, data):
+        # Independent closed form: a block b with squared moduli m_b gives
+        # <O_k b|O_h b> = 1 - 2(m_b(k) + m_b(h)), and a tensor product of
+        # blocks multiplies these factors.
+        n = data.draw(st.integers(2, 7), label="n")
+        kinds = [kind for kind, least in (("pair", 2), ("star", 3), ("quad", 4)) if n >= least]
+        blocks, moduli = [], []
+        for _ in range(data.draw(st.integers(1, 3), label="t")):
+            kind = data.draw(st.sampled_from(kinds))
+            size = {"pair": 2, "star": 1, "quad": 4}[kind]
+            indices = sorted(data.draw(st.permutations(range(1, n + 1)))[:size])
+            blocks.append(CanonicalBlock(kind, tuple(indices), n))
+            if kind == "star":
+                m = {x: Fraction(1, 2 * (n - 2)) for x in range(1, n + 1)}
+                m[indices[0]] = Fraction(n - 3, 2 * (n - 2))
+            else:
+                m = {x: Fraction(1, size) if x in indices else Fraction(0) for x in range(1, n + 1)}
+            moduli.append(m)
+        k, h = data.draw(st.permutations(range(1, n + 1)))[:2]
+        psi = expand_to_state(ProductScheme(n, blocks))
+        value = overlap(apply_oracle(GroverOracle(n, k), psi), apply_oracle(GroverOracle(n, h), psi))
+        assert type(value) is Fraction
+        assert value == math.prod(1 - 2 * (m[k] + m[h]) for m in moduli)
 
 
 class TestEnumerateCompositions:
@@ -303,7 +310,7 @@ class TestAmpState:
             AmpState(2, 1, {(1,): SqrtRational.sqrt(Fraction(1, 2))})
 
     def test_rejects_unnormalized_float(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             AmpState(2, 1, {(1,): 0.9 + 0j})
 
     def test_drops_exact_zeros(self):
@@ -313,16 +320,15 @@ class TestAmpState:
         }
         s = AmpState(2, 1, amps)
         assert (2,) not in s.amps
-        assert s.exact
 
-    def test_mixed_values_coerce_to_float(self):
-        s = AmpState(
-            2,
-            1,
-            {(1,): SqrtRational.sqrt(Fraction(1, 2)), (2,): complex(math.sqrt(0.5))},
-        )
-        assert not s.exact
-        assert isinstance(s.amps[(1,)], complex)
+    def test_mixed_values_rejected(self):
+        # multi-copy states are exact only: one float amplitude is refused
+        with pytest.raises(TypeError):
+            AmpState(
+                2,
+                1,
+                {(1,): SqrtRational.sqrt(Fraction(1, 2)), (2,): complex(math.sqrt(0.5))},
+            )
 
     def test_tuple_validation(self):
         with pytest.raises(ValueError):
