@@ -24,6 +24,7 @@ from .identifier import run_identification
 from .optimizer import (
     DEFAULT_COVER_CAP,
     entangled_feasible,
+    entangled_scan,
     min_product_cover,
 )
 from .oracle import DEFAULT_MAX_COMPOSITIONS, GroverOracle
@@ -119,28 +120,24 @@ def cmd_search(args) -> tuple[dict, int]:
             "nodes_explored": solution.nodes_explored,
         }, EXIT_OK
     t_max = args.t_max if args.t_max is not None else construction_size(n)
-    stats = []
-    found = None
-    for t in range(max(1, general_lower_bound(n)), t_max + 1):
-        result = entangled_feasible(n, t, max_compositions=args.max_compositions)
-        stats.append(
-            {
-                "t": t,
-                "feasible": result.feasible,
-                "variables": result.stats.variables,
-                "constraints": result.stats.constraints,
-                "pivots": result.stats.pivots,
-            }
-        )
-        if result.feasible:
-            found = (t, result.witness)
-            break
-    if found is None:
+    scan = entangled_scan(n, t_max, max_compositions=args.max_compositions)
+    stats = [
+        {
+            "t": t,
+            "feasible": result.feasible,
+            "variables": result.stats.variables,
+            "constraints": result.stats.constraints,
+            "pivots": result.stats.pivots,
+        }
+        for t, result in scan
+    ]
+    if not scan or not scan[-1][1].feasible:
         print(f"no entangled scheme with t <= {t_max} for n={n}", file=sys.stderr)
         return {"min_t": None, "witness": None, "lp_stats": stats}, EXIT_NEGATIVE
+    t, result = scan[-1]
     return {
-        "min_t": found[0],
-        "witness": scheme_to_doc(found[1]),
+        "min_t": t,
+        "witness": scheme_to_doc(result.witness),
         "lp_stats": stats,
     }, EXIT_OK
 
@@ -212,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="emit a verified scheme as JSON")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--entangled", action="store_true", help="emit an LP feasibility witness")
+    p.add_argument("--entangled", action="store_true", help="emit an exact entangled witness")
     p.add_argument("--t", type=int, default=None, help="copy count for --entangled")
     p.add_argument("--max-compositions", type=int, default=DEFAULT_MAX_COMPOSITIONS)
     p.set_defaults(func=cmd_build)

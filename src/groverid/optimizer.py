@@ -2,18 +2,36 @@
 
 Two exact searches: a branch-and-bound set cover over the canonical
 blocks for the minimal product scheme, and a rational LP feasibility
-test over composition masses for the existence of a t-copy entangled
-scheme.  Both are deterministic and return verifiable witnesses.
+test for the existence of a t-copy entangled scheme.  Both are
+deterministic and return verifiable witnesses.
+
+The entangled LP is solved in its symmetry-reduced form.  Its pair
+constraints (odd-parity mass 1/2 on every pair) are permuted among
+themselves by any permutation of 1..N, so the average of a solution
+over all permutations is again a solution (Gatermann & Parrilo,
+J. Pure Appl. Algebra 192, 2004).  In a permutation-invariant solution
+every pair has the same odd-parity mass, which is then the mean over
+pairs; a composition with l odd counts (its level, ``Composition.l1``)
+splits l(N-l) of the C(N,2) pairs.  So a solution exists exactly when
+masses x_l >= 0, one per level a t-copy composition can reach, satisfy
+
+    sum_l x_l = 1,    sum_l x_l * l(N-l)/C(N,2) = 1/2.
+
+Conversely, level masses lift back to a composition witness by spreading
+x_l uniformly over the l-subsets of 1..N: a pair is split by
+2*C(N-2, l-1) of the C(N, l) subsets, a share of exactly l(N-l)/C(N,2).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .discrimination import CanonicalBlock, all_pairs, block_graph, candidate_blocks
 from .exceptions import IndistinguishableError, ResourceCapError
-from .oracle import DEFAULT_MAX_COMPOSITIONS, enumerate_compositions, tau_parity
+from .oracle import DEFAULT_MAX_COMPOSITIONS, Composition, enumerate_compositions
 from .schemes import (
     WeightProfile,
     construct_product_scheme,
@@ -138,31 +156,63 @@ def entangled_feasible(
 ) -> FeasibilityResult:
     """Decide whether a t-copy parallel scheme exists for n oracles.
 
-    The scheme exists exactly when rational masses on compositions can
-    give every pair an odd-parity mass of 1/2 while summing to 1; the
-    decision is an exact phase-1 LP over the composition variables.
+    The scheme exists exactly when the two-row level LP of the module
+    docstring is feasible; an exact phase-1 simplex decides it, and
+    ``stats`` and ``phase1_objective`` describe that LP.  The witness
+    lifts its basic solution: each level mass x_l is spread uniformly
+    over the C(n, l) compositions that put 1 on an l-subset S and add the
+    even surplus t - l to min S (to index 1 when S is empty).  The
+    compositions of t into n parts are enumerated first for the
+    reachable levels, so ``max_compositions`` caps the work and the
+    witness size before either is allocated.
     """
     if n < 2:
         raise ValueError(f"feasibility needs n >= 2, got {n}")
     comps = enumerate_compositions(n, t, max_compositions)
-    rows: list[list[Fraction]] = [[ONE] * len(comps)]
-    rhs: list[Fraction] = [ONE]
-    for i, j in all_pairs(n):
-        rows.append([ONE if tau_parity(c, i, j) == 1 else Fraction(0) for c in comps])
-        rhs.append(HALF)
-    result = phase1_feasible(rows, rhs)
-    stats = LpStats(variables=len(comps), constraints=len(rows), pivots=result.pivots)
+    levels = sorted({c.l1 for c in comps})
+    npairs = math.comb(n, 2)
+    rows = [[ONE] * len(levels), [Fraction(l * (n - l), npairs) for l in levels]]
+    result = phase1_feasible(rows, [ONE, HALF])
+    stats = LpStats(variables=len(levels), constraints=len(rows), pivots=result.pivots)
     witness = None
     if result.feasible:
-        witness = WeightProfile(
-            n, t, {c: q for c, q in zip(comps, result.x) if q}
-        )
+        weights: dict[Composition, Fraction] = {}
+        for level, x in zip(levels, result.x):
+            if not x:
+                continue
+            share = x / math.comb(n, level)
+            for subset in itertools.combinations(range(n), level):
+                counts = [0] * n
+                for i in subset:
+                    counts[i] = 1
+                counts[subset[0] if subset else 0] += t - level
+                weights[Composition(tuple(counts))] = share
+        witness = WeightProfile(n, t, weights)
     return FeasibilityResult(
         feasible=result.feasible,
         witness=witness,
         phase1_objective=result.objective,
         stats=stats,
     )
+
+
+def entangled_scan(
+    n: int, t_max: int, max_compositions: int = DEFAULT_MAX_COMPOSITIONS
+) -> list[tuple[int, FeasibilityResult]]:
+    """Decide t = lower bound, lower bound + 1, ... up to the first
+    feasible t, and return each t with its result.
+
+    The scan stops at min(t_max, n + 1): for t >= n every level of the
+    right parity up to n is reachable, so the level set, and with it the
+    verdict, repeats with period 2 from t = n on.
+    """
+    results = []
+    for t in range(max(1, general_lower_bound(n)), min(t_max, n + 1) + 1):
+        result = entangled_feasible(n, t, max_compositions)
+        results.append((t, result))
+        if result.feasible:
+            break
+    return results
 
 
 def min_entangled_t(
@@ -172,7 +222,7 @@ def min_entangled_t(
     from the closed-form lower bound; None when every t is infeasible."""
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    for t in range(max(1, general_lower_bound(n)), t_max + 1):
-        if entangled_feasible(n, t, max_compositions).feasible:
-            return t
+    scan = entangled_scan(n, t_max, max_compositions)
+    if scan and scan[-1][1].feasible:
+        return scan[-1][0]
     return None

@@ -1,8 +1,11 @@
 """Tests for the CLI surface: payloads, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +97,11 @@ class TestBuildAndVerify:
         assert code == 1
         assert payload == {"feasible": False, "n": 5, "t": 1}
 
+    def test_build_entangled_over_composition_cap_exits_2(self, capsys):
+        code, payload, _ = run_cli(capsys, "build", "--n", "40", "--entangled")
+        assert code == 2
+        assert payload["error"] == "resource-cap"
+
     def test_verify_invalid_scheme_exits_1(self, capsys, tmp_path):
         doc = {"kind": "product", "n": 3, "blocks": [{"type": "pair", "i": 1, "j": 2}]}
         path = tmp_path / "bad.json"
@@ -178,6 +186,24 @@ class TestSearch:
         )
         assert code == 1
         assert payload["min_t"] is None
+
+    def test_entangled_scan_is_bounded(self, capsys):
+        start = time.perf_counter()
+        code, payload, _ = run_cli(
+            capsys, "search", "--n", "2", "--mode", "entangled", "--t-max", "100000"
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 1
+        assert payload["min_t"] is None
+        assert [row["t"] for row in payload["lp_stats"]] == [1, 2, 3]
+
+    def test_entangled_n10(self, capsys):
+        start = time.perf_counter()
+        code, payload, _ = run_cli(capsys, "search", "--n", "10", "--mode", "entangled")
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert payload["min_t"] == 4
+        assert payload["lp_stats"][-1]["constraints"] == 2
 
     def test_over_cap_exits_2(self, capsys):
         code, payload, _ = run_cli(capsys, "search", "--n", "12", "--mode", "product")
@@ -285,10 +311,13 @@ class TestGraph:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "groverid", "bounds", "--n", "6"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"general_lower": 2, "construction_size": 4}

@@ -1,24 +1,43 @@
 """Tests for the exact cover search and LP feasibility."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from groverid.discrimination import block_graph, candidate_blocks, is_complete_cover
+from groverid.discrimination import all_pairs, block_graph, candidate_blocks, is_complete_cover
 from groverid.exceptions import IndistinguishableError, ResourceCapError
+from groverid.identifier import exhaustive_check, run_identification
 from groverid.optimizer import (
     CoverInstance,
     entangled_feasible,
+    entangled_scan,
     min_entangled_t,
     min_product_cover,
 )
+from groverid.oracle import GroverOracle, enumerate_compositions, tau_parity
 from groverid.schemes import (
     ProductScheme,
+    builtin,
     construction_size,
     general_lower_bound,
     verify_entangled,
     verify_product,
 )
+from groverid.simplex import phase1_feasible
+
+#: Every (n, t) the dense composition LP decides quickly enough to compare.
+SMALL_CASES = [(n, t) for n in range(2, 8) for t in range(1, 5)] + [(2, 5), (2, 6)]
+
+
+def dense_composition_lp(n, t):
+    """Independent feasibility oracle from the definition: one variable
+    per composition, a sum row, and one row per pair asking for
+    odd-parity mass exactly 1/2."""
+    comps = enumerate_compositions(n, t)
+    rows = [[1] * len(comps)]
+    rows += [[tau_parity(c, i, j) for c in comps] for i, j in all_pairs(n)]
+    return phase1_feasible(rows, [1] + [Fraction(1, 2)] * (len(rows) - 1))
 
 
 def brute_min_cover(n, t_limit):
@@ -146,6 +165,43 @@ class TestEntangledFeasible:
         with pytest.raises(ValueError):
             entangled_feasible(1, 1)
 
+    @pytest.mark.parametrize("n,t", SMALL_CASES)
+    def test_agrees_with_dense_composition_lp(self, n, t):
+        res = entangled_feasible(n, t)
+        assert res.feasible == dense_composition_lp(n, t).feasible
+        assert (res.phase1_objective == 0) == res.feasible
+
+    @pytest.mark.parametrize("n,t", SMALL_CASES)
+    def test_two_rows_one_variable_per_level(self, n, t):
+        stats = entangled_feasible(n, t).stats
+        assert stats.constraints == 2
+        assert stats.variables == len(range(t % 2, min(t, n) + 1, 2))
+
+    @pytest.mark.parametrize("n,t", SMALL_CASES)
+    def test_witness_passes_both_verifiers(self, n, t):
+        res = entangled_feasible(n, t)
+        if res.feasible:
+            assert verify_entangled(res.witness).valid
+            assert exhaustive_check(res.witness)
+        else:
+            assert res.witness is None
+
+    def test_n6_t2_witness_is_the_paper_example(self):
+        assert entangled_feasible(6, 2).witness.weights == builtin("n6-entangled", diag=1).weights
+
+    @pytest.mark.parametrize("n,t", [(7, 3), (8, 3)])
+    def test_witness_identifies_every_index(self, n, t):
+        witness = entangled_feasible(n, t).witness
+        for k in range(1, n + 1):
+            run = run_identification(witness, GroverOracle(n, k))
+            assert run.identified == k
+            assert run.hidden_queries_used == t
+
+    def test_verdict_repeats_with_period_two_from_t_equal_n(self):
+        for n in range(2, 7):
+            for t in range(n + 2, n + 4):
+                assert entangled_feasible(n, t).feasible == entangled_feasible(n, t - 2).feasible
+
 
 class TestMinEntangledT:
     def test_examples(self):
@@ -155,6 +211,18 @@ class TestMinEntangledT:
 
     def test_none_when_out_of_reach(self):
         assert min_entangled_t(2, 6) is None
+
+    def test_scan_stops_at_n_plus_one(self):
+        assert [t for t, _ in entangled_scan(2, 10**5)] == [1, 2, 3]
+        assert min_entangled_t(2, 10**5) is None
+
+    def test_lower_bound_attained_up_to_16(self):
+        # The half-(N - sqrt N) bound is the exact entangled minimum for
+        # N = 4..16; at N = 3 it says 1, but one copy cannot split the
+        # three pairs evenly.
+        assert min_entangled_t(3, construction_size(3)) == 2
+        for n in range(4, 17):
+            assert min_entangled_t(n, construction_size(n)) == general_lower_bound(n), n
 
     def test_sandwich_small(self):
         for n in range(3, 8):
