@@ -5,21 +5,31 @@ when its squared moduli on i and j sum to 1/2.  The pairs a state can
 discriminate form its discrimination graph, and three canonical block
 states (quad, pair, star) dominate everything a single copy can do: any
 nontrivial state can be replaced by one of them without losing edges.
+
+A graph on 1..N is one integer mask over the C(N,2) pairs: bit k stands
+for the k-th pair of ``all_pairs(N)``, so the row of pairs (i, j > i) is
+a contiguous run of bits.  That layout is known in this module only.
+Every graph, dense state and pair list is capped at ``MAX_PAIRS`` pairs,
+checked before anything of that size is allocated.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .amplitude import SqrtRational
-from .exceptions import TrivialStateError
+from .exceptions import ResourceCapError, TrivialStateError
 
 #: Tolerance of the float-mode checks on one-copy states (normalization
 #: and the half-sum test); exact states never use it.
 FLOAT_TOL = 1e-9
+
+#: Largest pair universe C(n,2) a graph, a dense state or a pair list may span.
+MAX_PAIRS = 10**7
 
 #: A one-copy amplitude: exact (SqrtRational) or floating point (complex).
 AmpValue = Union[SqrtRational, complex]
@@ -41,9 +51,32 @@ def value_to_complex(v: AmpValue) -> complex:
     return complex(v)
 
 
+def pair_count(n: int) -> int:
+    """C(n,2); raises ResourceCapError when it exceeds MAX_PAIRS."""
+    count = n * (n - 1) // 2
+    if count > MAX_PAIRS:
+        raise ResourceCapError(f"n={n} spans {count} pairs, over the cap of {MAX_PAIRS}")
+    return count
+
+
 def all_pairs(n: int) -> list[Edge]:
     """All unordered index pairs (i, j) with 1 <= i < j <= n, lexicographic."""
+    pair_count(n)
     return list(itertools.combinations(range(1, n + 1), 2))
+
+
+@functools.lru_cache(maxsize=16)
+def _row_ends(n: int) -> int:
+    """Mask of the pairs (i, n), the last bit of every row."""
+    return int("".join("1" + "0" * (n - i - 1) for i in range(n - 1, 0, -1)), 2)
+
+
+def _star(n: int, v: int) -> int:
+    """Mask of the pairs holding v: its row, and its column, which is
+    the ends of the rows before v shifted down by n-v."""
+    start = (v - 1) * (2 * n - v) // 2
+    row = ((1 << (n - v)) - 1) << start
+    return row | (_row_ends(n) & ((1 << start) - 1)) >> (n - v)
 
 
 class SingleCopyState:
@@ -58,6 +91,7 @@ class SingleCopyState:
     def __init__(self, n: int, amps: Sequence[AmpValue] | Mapping[int, AmpValue]):
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
+        pair_count(n)
         if isinstance(amps, Mapping):
             for i in amps:
                 if not 1 <= i <= n:
@@ -93,31 +127,32 @@ class SingleCopyState:
 @dataclass(frozen=True)
 class DiscriminationGraph:
     """Undirected graph on vertices 1..n whose edges are the oracle pairs
-    a state can discriminate."""
+    a state can discriminate: bit k of ``mask`` is ``all_pairs(n)[k]``."""
 
     n: int
-    edges: frozenset[Edge]
+    mask: int
 
     def __post_init__(self):
-        for i, j in self.edges:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"edge ({i}, {j}) invalid for n={self.n}")
-
-    @classmethod
-    def of(cls, n: int, edges: Iterable[Edge]) -> "DiscriminationGraph":
-        normalized = frozenset((min(i, j), max(i, j)) for i, j in edges)
-        return cls(n, normalized)
+        if self.mask < 0 or self.mask.bit_length() > pair_count(self.n):
+            raise ValueError(f"mask has bits beyond the pairs of n={self.n}")
 
     @classmethod
     def complete(cls, n: int) -> "DiscriminationGraph":
-        return cls(n, frozenset(all_pairs(n)))
+        return cls(n, (1 << pair_count(n)) - 1)
+
+    def __iter__(self) -> Iterator[Edge]:
+        """The edges in all_pairs order, found row by row."""
+        bits = bin(self.mask)[:1:-1]
+        i, start, k = 1, 0, bits.find("1")
+        while k >= 0:
+            while k >= start + self.n - i:
+                start, i = start + self.n - i, i + 1
+            yield i, i + 1 + k - start
+            k = bits.find("1", k + 1)
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self)
 
 
 @dataclass(frozen=True)
@@ -176,14 +211,15 @@ def copy_discriminates(s: SingleCopyState, i: int, j: int) -> bool:
 
 
 def discrimination_graph(s: SingleCopyState) -> DiscriminationGraph:
-    """Edge set of all pairs the state discriminates."""
-    edges = [(i, j) for i, j in all_pairs(s.n) if copy_discriminates(s, i, j)]
-    return DiscriminationGraph.of(s.n, edges)
+    """Graph of all pairs the state discriminates."""
+    bits = "".join("1" if copy_discriminates(s, i, j) else "0" for i, j in all_pairs(s.n))
+    return DiscriminationGraph(s.n, int(bits[::-1] or "0", 2))
 
 
 def block_state(b: CanonicalBlock) -> SingleCopyState:
     """The canonical state of a block, squared moduli stored exactly."""
     n = b.n
+    pair_count(n)
     if b.kind == "quad":
         amp = SqrtRational.sqrt(Fraction(1, 4))
         return SingleCopyState(n, {i: amp for i in b.indices})
@@ -199,24 +235,20 @@ def block_state(b: CanonicalBlock) -> SingleCopyState:
 
 
 def block_graph(b: CanonicalBlock) -> DiscriminationGraph:
-    """Combinatorial shortcut for discrimination_graph(block_state(b)).
+    """Combinatorial shortcut for discrimination_graph(block_state(b)): a
+    quad's pairs have both ends in it, a pair's or a star's exactly one.
 
     At n=4 the star's amplitudes coincide with the uniform quad, so its
     true graph is the full K4 rather than the nominal star shape.
     """
     n = b.n
-    if b.kind == "quad":
-        return DiscriminationGraph.of(n, itertools.combinations(b.indices, 2))
-    if b.kind == "pair":
-        i, j = b.indices
-        edges = [(i, k) for k in range(1, n + 1) if k not in (i, j)]
-        edges += [(j, k) for k in range(1, n + 1) if k not in (i, j)]
-        return DiscriminationGraph.of(n, edges)
-    if n == 4:
+    pair_count(n)
+    if b.kind == "star" and n == 4:
         return DiscriminationGraph.complete(4)
-    center = b.indices[0]
-    edges = [(center, k) for k in range(1, n + 1) if k != center]
-    return DiscriminationGraph.of(n, edges)
+    one_end = any_end = 0
+    for star in (_star(n, v) for v in b.indices):
+        one_end, any_end = one_end ^ star, any_end | star
+    return DiscriminationGraph(n, any_end ^ one_end if b.kind == "quad" else one_end)
 
 
 def candidate_blocks(n: int) -> Iterator[CanonicalBlock]:
@@ -236,19 +268,25 @@ def canonicalize(s: SingleCopyState) -> CanonicalBlock:
     """Replace a nontrivial state by a canonical block that discriminates
     at least the same pairs; first match in the fixed block order."""
     graph = discrimination_graph(s)
-    if not graph.edges:
+    if not graph.mask:
         raise TrivialStateError("state discriminates no pair")
     for block in candidate_blocks(s.n):
-        if graph.edges <= block_graph(block).edges:
+        if not graph.mask & ~block_graph(block).mask:
             return block
     raise ValueError("no canonical block covers the state's graph")
 
 
-def is_complete_cover(graphs: Iterable[DiscriminationGraph], n: int) -> bool:
-    """True when the union of the edge sets is the complete graph on n."""
-    union: set[Edge] = set()
+def uncovered(graphs: Iterable[DiscriminationGraph], n: int) -> DiscriminationGraph:
+    """The pairs of 1..n in none of the graphs: the complete graph's mask
+    with the OR of theirs taken out."""
+    union = 0
     for g in graphs:
         if g.n != n:
             raise ValueError(f"graph on {g.n} vertices mixed into cover for n={n}")
-        union |= g.edges
-    return len(union) == n * (n - 1) // 2
+        union |= g.mask
+    return DiscriminationGraph(n, DiscriminationGraph.complete(n).mask & ~union)
+
+
+def is_complete_cover(graphs: Iterable[DiscriminationGraph], n: int) -> bool:
+    """True when the union of the graphs is the complete graph on n."""
+    return not uncovered(graphs, n).mask

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .discrimination import CanonicalBlock, all_pairs, block_graph, candidate_blocks
+from .discrimination import CanonicalBlock, block_graph, candidate_blocks
 from .exceptions import IndistinguishableError, ResourceCapError
 from .oracle import DEFAULT_MAX_COMPOSITIONS, Composition, enumerate_compositions
 from .schemes import (
@@ -54,15 +54,8 @@ class CoverInstance:
 
     @classmethod
     def build(cls, n: int) -> "CoverInstance":
-        pair_bit = {p: k for k, p in enumerate(all_pairs(n))}
         candidates = tuple(candidate_blocks(n))
-        masks = []
-        for block in candidates:
-            mask = 0
-            for edge in block_graph(block).edges:
-                mask |= 1 << pair_bit[edge]
-            masks.append(mask)
-        return cls(n, candidates, tuple(masks))
+        return cls(n, candidates, tuple(block_graph(b).mask for b in candidates))
 
 
 @dataclass(frozen=True)
@@ -106,13 +99,7 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
     inst = CoverInstance.build(n)
     npairs = n * (n - 1) // 2
     universe = (1 << npairs) - 1
-    cover_lists: list[list[int]] = [[] for _ in range(npairs)]
-    for c, mask in enumerate(inst.masks):
-        bits = mask
-        while bits:
-            low = bits & -bits
-            cover_lists[low.bit_length() - 1].append(c)
-            bits ^= low
+    cover_lists = [[c for c, m in enumerate(inst.masks) if m >> b & 1] for b in range(npairs)]
     # Static branching order: fewest covering candidates first.
     pair_order = sorted(range(npairs), key=lambda b: (len(cover_lists[b]), b))
     max_cover = max(6, 2 * (n - 2), n - 1)
@@ -206,6 +193,8 @@ def entangled_scan(
     right parity up to n is reachable, so the level set, and with it the
     verdict, repeats with period 2 from t = n on.
     """
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
     results = []
     for t in range(max(1, general_lower_bound(n)), min(t_max, n + 1) + 1):
         result = entangled_feasible(n, t, max_compositions)
@@ -220,8 +209,6 @@ def min_entangled_t(
 ) -> int | None:
     """Smallest t <= t_max with a feasible t-copy scheme, scanning upward
     from the closed-form lower bound; None when every t is infeasible."""
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
     scan = entangled_scan(n, t_max, max_compositions)
     if scan and scan[-1][1].feasible:
         return scan[-1][0]

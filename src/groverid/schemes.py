@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .amplitude import SqrtRational
-from .discrimination import CanonicalBlock, all_pairs, block_graph, block_state
+from .discrimination import CanonicalBlock, all_pairs, block_graph, block_state, uncovered
 from .exceptions import IndistinguishableError, ResourceCapError
-from .oracle import AmpState, Composition, tau_parity
+from .oracle import AmpState, Composition
 
 #: Default cap on the tuple count of an expanded tensor state.
 DEFAULT_MAX_TUPLES = 1_000_000
@@ -144,26 +144,25 @@ def construction_size(n: int) -> int:
 
 
 def verify_product(s: ProductScheme) -> SchemeReport:
-    """Coverage check: the blocks' graphs must union to the complete
-    graph."""
-    covered: set[tuple[int, int]] = set()
-    for b in s.blocks:
-        covered |= block_graph(b).edges
-    failing = tuple(
-        PairDefect(p, None) for p in all_pairs(s.n) if p not in covered
-    )
+    """Coverage check: the OR of the blocks' graph masks must be the
+    complete graph; the pairs it leaves out fail, in all_pairs order."""
+    gaps = uncovered((block_graph(b) for b in s.blocks), s.n)
+    failing = tuple(PairDefect(p, None) for p in gaps)
     return SchemeReport(valid=not failing, method="coverage-check", failing_pairs=failing)
 
 
 def verify_entangled(w: WeightProfile) -> SchemeReport:
     """Exact parity-mass check: for every pair, the mass on odd-parity
-    compositions must equal exactly 1/2."""
+    compositions must equal exactly 1/2.  Bit i of a composition's mask
+    is set when its count on index i is odd, so pair (i, j) has odd
+    parity (``tau_parity``) exactly when bits i and j differ."""
+    odd = [
+        (sum(1 << i for i, c in enumerate(comp.counts, start=1) if c % 2), q)
+        for comp, q in w.weights.items()
+    ]
     failing = []
     for i, j in all_pairs(w.n):
-        mass = sum(
-            (q for comp, q in w.weights.items() if tau_parity(comp, i, j) == 1),
-            Fraction(0),
-        )
+        mass = sum((q for m, q in odd if (m >> i ^ m >> j) & 1), Fraction(0))
         if mass != Fraction(1, 2):
             failing.append(PairDefect((i, j), mass - Fraction(1, 2)))
     return SchemeReport(valid=not failing, method="parity-mass", failing_pairs=tuple(failing))

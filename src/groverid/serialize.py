@@ -146,7 +146,7 @@ def _entangled_from_doc(doc: dict) -> WeightProfile:
 
 
 def graph_to_doc(graph: DiscriminationGraph) -> dict:
-    return {"n": graph.n, "edges": [list(e) for e in graph.sorted_edges()]}
+    return {"n": graph.n, "edges": [list(e) for e in graph]}
 
 
 def report_to_doc(report: SchemeReport) -> dict:

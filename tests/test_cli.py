@@ -205,6 +205,14 @@ class TestSearch:
         assert payload["min_t"] == 4
         assert payload["lp_stats"][-1]["constraints"] == 2
 
+    @pytest.mark.parametrize("t_max", ["0", "-3"])
+    def test_entangled_t_max_below_1_is_usage_error(self, capsys, t_max):
+        code, payload, _ = run_cli(
+            capsys, "search", "--n", "5", "--mode", "entangled", "--t-max", t_max
+        )
+        assert code == 2
+        assert payload["error"] == "usage"
+
     def test_over_cap_exits_2(self, capsys):
         code, payload, _ = run_cli(capsys, "search", "--n", "12", "--mode", "product")
         assert code == 2
@@ -307,6 +315,33 @@ class TestGraph:
     def test_bad_block_spec_exits_2(self, capsys):
         code, payload, _ = run_cli(capsys, "graph", "--block", "pair 1", "--n", "6")
         assert code == 2
+
+
+class TestPairCap:
+    """Inputs whose pair universe C(n,2) is over the cap answer exit 2
+    at once, before any graph, pair list or dense state is built."""
+
+    def check(self, capsys, *argv):
+        start = time.perf_counter()
+        code, payload, _ = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert payload["error"] == "resource-cap"
+
+    def test_verify_one_block_n_million(self, capsys, tmp_path):
+        doc = {"kind": "product", "n": 10**6, "blocks": [{"type": "pair", "i": 1, "j": 2}]}
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps(doc))
+        self.check(capsys, "verify", "--scheme", str(path))
+
+    def test_graph_block_n_billion(self, capsys):
+        self.check(capsys, "graph", "--block", "pair 1 2", "--n", "1000000000")
+
+    def test_graph_state_n_trillion(self, capsys, tmp_path):
+        doc = {"n": 10**12, "amps": [{"i": 1, "mag2": "1/2"}, {"i": 2, "mag2": "1/2"}]}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        self.check(capsys, "graph", "--state", str(path))
 
 
 class TestEntryPoint:

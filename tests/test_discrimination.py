@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverid.amplitude import SqrtRational
 from groverid.discrimination import (
+    MAX_PAIRS,
     CanonicalBlock,
     DiscriminationGraph,
     SingleCopyState,
@@ -17,9 +20,11 @@ from groverid.discrimination import (
     copy_discriminates,
     discrimination_graph,
     is_complete_cover,
+    pair_count,
 )
-from groverid.exceptions import TrivialStateError
+from groverid.exceptions import ResourceCapError, TrivialStateError
 from groverid.oracle import AmpState, GroverOracle, apply_oracle, overlap
+from groverid.schemes import ProductScheme, construct_product_scheme, verify_product
 
 
 def lift(s):
@@ -28,7 +33,8 @@ def lift(s):
 
 
 def graph_via_inner_products(s):
-    """Independent graph oracle: pairs where <psi| f_i f_j |psi> vanishes.
+    """Independent graph oracle: the edge set of pairs where
+    <psi| f_i f_j |psi> vanishes.
     Exact states go through the exact overlap; float states, which
     multi-copy states cannot hold, are summed here in floats."""
     edges = []
@@ -44,7 +50,23 @@ def graph_via_inner_products(s):
             zero = abs(value) <= 1e-9
         if zero:
             edges.append((i, j))
-    return DiscriminationGraph.of(s.n, edges)
+    return frozenset(edges)
+
+
+def half_sum_graph(b):
+    """Independent edge set of a block: the pairs whose squared moduli in
+    the block's state sum to 1/2, with no bit layout involved."""
+    s = block_state(b)
+    return {(i, j) for i, j in all_pairs(b.n) if copy_discriminates(s, i, j)}
+
+
+@st.composite
+def canonical_blocks(draw, n):
+    kinds = [kind for kind, least in (("pair", 2), ("star", 3), ("quad", 4)) if n >= least]
+    kind = draw(st.sampled_from(kinds))
+    size = {"pair": 2, "star": 1, "quad": 4}[kind]
+    indices = draw(st.lists(st.integers(1, n), min_size=size, max_size=size, unique=True))
+    return CanonicalBlock(kind, tuple(sorted(indices)), n)
 
 
 def exact_state_from_mag2(n, mag2_by_index):
@@ -102,7 +124,7 @@ class TestDiscriminationGraph:
         for _ in range(40):
             n = rng.randint(3, 7)
             s = sample_manifold_state(rng, n)
-            assert discrimination_graph(s) == graph_via_inner_products(s)
+            assert discrimination_graph(s).edges == graph_via_inner_products(s)
 
     def test_matches_inner_product_definition_float(self):
         rng = random.Random(6)
@@ -110,7 +132,7 @@ class TestDiscriminationGraph:
             n = rng.randint(3, 6)
             s = sample_manifold_state(rng, n)
             floated = SingleCopyState(n, [complex(float(v)) for v in s.amps])
-            assert discrimination_graph(floated) == graph_via_inner_products(floated)
+            assert discrimination_graph(floated).edges == graph_via_inner_products(floated)
 
 
 class TestBlockState:
@@ -140,10 +162,10 @@ class TestBlockState:
 
 class TestBlockGraph:
     def test_edge_counts(self):
-        assert block_graph(CanonicalBlock.quad(1, 2, 3, 4, 6)).edge_count == 6
-        assert block_graph(CanonicalBlock.pair(1, 2, 6)).edge_count == 8
-        assert block_graph(CanonicalBlock.star(1, 6)).edge_count == 5
-        assert block_graph(CanonicalBlock.star(1, 3)).edge_count == 2
+        assert block_graph(CanonicalBlock.quad(1, 2, 3, 4, 6)).mask.bit_count() == 6
+        assert block_graph(CanonicalBlock.pair(1, 2, 6)).mask.bit_count() == 8
+        assert block_graph(CanonicalBlock.star(1, 6)).mask.bit_count() == 5
+        assert block_graph(CanonicalBlock.star(1, 3)).mask.bit_count() == 2
 
     def test_star_n4_degenerates_to_quad(self):
         g = block_graph(CanonicalBlock.star(2, 4))
@@ -155,6 +177,77 @@ class TestBlockGraph:
         for n in range(3, 13):
             for block in candidate_blocks(n):
                 assert block_graph(block) == discrimination_graph(block_state(block)), block
+
+
+class TestMaskAgainstDefinition:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_block_graph_is_the_half_sum_graph(self, data):
+        n = data.draw(st.one_of(st.sampled_from([3, 4]), st.integers(2, 40)), label="n")
+        block = data.draw(canonical_blocks(n), label="block")
+        assert block_graph(block).edges == half_sum_graph(block)
+
+    def test_every_star_at_n3_and_n4(self):
+        for n in (3, 4):
+            for center in range(1, n + 1):
+                block = CanonicalBlock.star(center, n)
+                assert block_graph(block).edges == half_sum_graph(block)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_verify_product_fails_exactly_the_missing_pairs(self, data):
+        n = data.draw(st.integers(3, 30), label="n")
+        blocks = list(data.draw(st.sampled_from([(), construct_product_scheme(n).blocks])))
+        blocks += data.draw(st.lists(canonical_blocks(n), max_size=4), label="extra")
+        if not blocks:
+            blocks.append(data.draw(canonical_blocks(n)))
+        if len(blocks) > 1 and data.draw(st.booleans(), label="drop"):
+            del blocks[data.draw(st.integers(0, len(blocks) - 1))]
+        covered = set().union(*(half_sum_graph(b) for b in blocks))
+        report = verify_product(ProductScheme(n, blocks))
+        assert [d.pair for d in report.failing_pairs] == [
+            p for p in all_pairs(n) if p not in covered
+        ]
+        assert report.valid == is_complete_cover([block_graph(b) for b in blocks], n)
+
+    def test_edges_round_trip_through_the_mask(self):
+        pairs = all_pairs(9)
+        for k, pair in enumerate(pairs):
+            assert DiscriminationGraph(9, 1 << k).edges == {pair}
+        assert DiscriminationGraph.complete(9).edges == set(pairs)
+        assert DiscriminationGraph(9, 0).edges == frozenset()
+
+    def test_mask_range_checked(self):
+        DiscriminationGraph(4, (1 << 6) - 1)
+        for mask in (1 << 6, -1):
+            with pytest.raises(ValueError):
+                DiscriminationGraph(4, mask)
+
+
+class TestPairCap:
+    def test_pair_count(self):
+        assert pair_count(1) == 0
+        assert pair_count(6) == 15
+        assert pair_count(4472) == 4472 * 4471 // 2 <= MAX_PAIRS
+        with pytest.raises(ResourceCapError):
+            pair_count(4473)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            all_pairs,
+            DiscriminationGraph.complete,
+            lambda n: DiscriminationGraph(n, 1),
+            lambda n: SingleCopyState(n, {1: SqrtRational.sqrt(Fraction(1))}),
+            lambda n: block_state(CanonicalBlock.star(1, n)),
+            lambda n: block_graph(CanonicalBlock.pair(1, 2, n)),
+            lambda n: block_graph(CanonicalBlock.quad(n - 3, n - 2, n - 1, n, n)),
+        ],
+        ids=["all_pairs", "complete", "graph", "state", "block_state", "pair", "quad"],
+    )
+    def test_over_cap_raises_before_allocating(self, make):
+        with pytest.raises(ResourceCapError):
+            make(10**12)
 
 
 class TestCanonicalize:

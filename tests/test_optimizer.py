@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from groverid.discrimination import all_pairs, block_graph, candidate_blocks, is_complete_cover
+from groverid.discrimination import (
+    DiscriminationGraph,
+    all_pairs,
+    block_graph,
+    candidate_blocks,
+    is_complete_cover,
+)
 from groverid.exceptions import IndistinguishableError, ResourceCapError
 from groverid.identifier import exhaustive_check, run_identification
 from groverid.optimizer import (
@@ -52,17 +58,9 @@ def brute_min_cover(n, t_limit):
 
 
 def brute_min_cover_bitmask(n, t_limit):
-    """Same oracle with bitmask unions, fast enough for n up to 8."""
-    from groverid.discrimination import all_pairs
-
-    bit = {p: k for k, p in enumerate(all_pairs(n))}
-    masks = []
-    for b in candidate_blocks(n):
-        m = 0
-        for e in block_graph(b).edges:
-            m |= 1 << bit[e]
-        masks.append(m)
-    full = (1 << len(bit)) - 1
+    """Same oracle with mask unions, fast enough for n up to 8."""
+    masks = [block_graph(b).mask for b in candidate_blocks(n)]
+    full = DiscriminationGraph.complete(n).mask
     for size in range(1, t_limit + 1):
         for combo in itertools.combinations(masks, size):
             union = 0
@@ -160,6 +158,13 @@ class TestEntangledFeasible:
     def test_composition_cap(self):
         with pytest.raises(ResourceCapError):
             entangled_feasible(6, 2, max_compositions=10)
+
+    @pytest.mark.parametrize("t_max", [0, -3])
+    def test_scan_rejects_t_max_below_1(self, t_max):
+        with pytest.raises(ValueError):
+            entangled_scan(5, t_max)
+        with pytest.raises(ValueError):
+            min_entangled_t(5, t_max)
 
     def test_rejects_n1(self):
         with pytest.raises(ValueError):

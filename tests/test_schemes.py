@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverid.discrimination import CanonicalBlock, all_pairs
 from groverid.exceptions import IndistinguishableError, ResourceCapError
@@ -13,6 +15,7 @@ from groverid.oracle import (
     apply_oracle,
     enumerate_compositions,
     overlap,
+    tau_parity,
 )
 from groverid.schemes import (
     ProductScheme,
@@ -181,6 +184,28 @@ class TestVerifyEntangled:
             bad = pairwise_outputs_orthogonal(state, n)
             assert report.valid == (not bad)
             assert [d.pair for d in report.failing_pairs] == bad
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_defects_match_tau_parity_sums(self, data):
+        # Reference straight from the definition: one tau_parity call per
+        # (pair, composition), summed in the profile's order.
+        n = data.draw(st.integers(1, 7), label="n")
+        t = data.draw(st.integers(1, 4), label="t")
+        comps = enumerate_compositions(n, t)
+        support = data.draw(st.lists(st.sampled_from(comps), min_size=1, max_size=12, unique=True))
+        raw = [Fraction(data.draw(st.integers(1, 9))) for _ in support]
+        profile = WeightProfile(n, t, {c: q / sum(raw) for c, q in zip(support, raw)})
+        expected = []
+        for i, j in all_pairs(n):
+            mass = sum(
+                (q for c, q in profile.weights.items() if tau_parity(c, i, j)), Fraction(0)
+            )
+            if mass != Fraction(1, 2):
+                expected.append(((i, j), mass - Fraction(1, 2)))
+        report = verify_entangled(profile)
+        assert [(d.pair, d.defect) for d in report.failing_pairs] == expected
 
 
 class TestExpandToState:
