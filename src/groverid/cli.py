@@ -27,9 +27,8 @@ from .optimizer import (
     entangled_scan,
     min_product_cover,
 )
-from .oracle import DEFAULT_MAX_COMPOSITIONS, GroverOracle
+from .oracle import GroverOracle
 from .schemes import (
-    DEFAULT_MAX_TUPLES,
     BUILTIN_NAMES,
     ProductScheme,
     WeightProfile,
@@ -89,7 +88,7 @@ def cmd_build(args) -> tuple[dict, int]:
         if n < 2:
             raise ValueError(f"--entangled needs n >= 2, got {n}")
         t = args.t if args.t is not None else max(1, general_lower_bound(n))
-        result = entangled_feasible(n, t, max_compositions=args.max_compositions)
+        result = entangled_feasible(n, t)
         if not result.feasible:
             print(f"no entangled scheme exists for n={n} at t={t}", file=sys.stderr)
             return {"feasible": False, "n": n, "t": t}, EXIT_NEGATIVE
@@ -120,7 +119,7 @@ def cmd_search(args) -> tuple[dict, int]:
             "nodes_explored": solution.nodes_explored,
         }, EXIT_OK
     t_max = args.t_max if args.t_max is not None else construction_size(n)
-    scan = entangled_scan(n, t_max, max_compositions=args.max_compositions)
+    scan = entangled_scan(n, t_max)
     stats = [
         {
             "t": t,
@@ -149,9 +148,7 @@ def cmd_identify(args) -> tuple[dict, int]:
     scheme = _load_scheme(args.scheme) if args.scheme else construct_product_scheme(n)
     if scheme.n != n:
         raise ValueError(f"scheme is for n={scheme.n}, but --n is {n}")
-    run = run_identification(
-        scheme, GroverOracle(n, args.hidden), max_tuples=args.max_tuples
-    )
+    run = run_identification(scheme, GroverOracle(n, args.hidden))
     return {"identified": run.identified, "queries": run.hidden_queries_used}, EXIT_OK
 
 
@@ -211,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--entangled", action="store_true", help="emit an exact entangled witness")
     p.add_argument("--t", type=int, default=None, help="copy count for --entangled")
-    p.add_argument("--max-compositions", type=int, default=DEFAULT_MAX_COMPOSITIONS)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="verify a scheme file")
@@ -223,14 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("product", "entangled"), required=True)
     p.add_argument("--t-max", type=int, default=None, help="entangled scan limit")
     p.add_argument("--max-n", type=int, default=DEFAULT_COVER_CAP, help="product search cap")
-    p.add_argument("--max-compositions", type=int, default=DEFAULT_MAX_COMPOSITIONS)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("identify", help="run a scheme against a hidden oracle")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--hidden", type=int, required=True, help="hidden target index")
     p.add_argument("--scheme", default=None, help="scheme JSON file or builtin name")
-    p.add_argument("--max-tuples", type=int, default=DEFAULT_MAX_TUPLES)
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("graph", help="discrimination graph of a state or block")

@@ -96,7 +96,8 @@ class SingleCopyState:
             for i in amps:
                 if not 1 <= i <= n:
                     raise ValueError(f"index {i} out of range 1..{n}")
-            values = [amps.get(i, SqrtRational.zero()) for i in range(1, n + 1)]
+            zero = SqrtRational.zero()
+            values = [amps.get(i, zero) for i in range(1, n + 1)]
         else:
             values = list(amps)
             if len(values) != n:

@@ -21,8 +21,10 @@ class AmbiguousClassificationError(GroveridError):
 
 
 class ResourceCapError(GroveridError):
-    """Raised when an enumeration or expansion would exceed its
-    configured size cap."""
+    """Raised when an enumeration, expansion or graph would exceed one of
+    the fixed size caps (``schemes.MAX_TUPLES``,
+    ``oracle.MAX_COMPOSITIONS``, ``discrimination.MAX_PAIRS``) or the
+    cover search's ``max_n``; checked before the work is done."""
 
 
 class SchemaError(GroveridError):

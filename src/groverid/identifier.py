@@ -18,7 +18,7 @@ from typing import Union
 from .discrimination import all_pairs
 from .exceptions import AmbiguousClassificationError
 from .oracle import AmpState, GroverOracle, apply_oracle, apply_oracle_to_copy, overlap
-from .schemes import DEFAULT_MAX_TUPLES, ProductScheme, Scheme, expand_to_state
+from .schemes import ProductScheme, Scheme, expand_to_state
 
 
 class OracleBlackBox:
@@ -50,10 +50,7 @@ class IdentificationRun:
 
 
 def run_identification(
-    scheme: Scheme,
-    hidden: Union[GroverOracle, OracleBlackBox],
-    *,
-    max_tuples: int = DEFAULT_MAX_TUPLES,
+    scheme: Scheme, hidden: Union[GroverOracle, OracleBlackBox]
 ) -> IdentificationRun:
     """Run a scheme against a hidden oracle and classify the output.
 
@@ -72,7 +69,7 @@ def run_identification(
             per_candidate_overlaps=(Fraction(1),),
         )
 
-    psi = expand_to_state(scheme, max_tuples=max_tuples)
+    psi = expand_to_state(scheme)
     calls_before = box.calls
     out = psi
     for copy in range(1, psi.t + 1):
@@ -104,22 +101,20 @@ def run_identification(
     )
 
 
-def tensor_failing_pairs(
-    scheme: Scheme, *, max_tuples: int = DEFAULT_MAX_TUPLES
-) -> tuple[tuple[int, int], ...]:
+def tensor_failing_pairs(scheme: Scheme) -> tuple[tuple[int, int], ...]:
     """Reference check from the definition: expand the scheme's input
     state, apply every candidate oracle, and return the pairs whose
     outputs are not exactly orthogonal."""
     if scheme.n == 1:
         return ()  # no pair, and the empty n=1 scheme has no input state
-    psi = expand_to_state(scheme, max_tuples=max_tuples)
+    psi = expand_to_state(scheme)
     outputs = {
         k: apply_oracle(GroverOracle(scheme.n, k), psi) for k in range(1, scheme.n + 1)
     }
     return tuple(p for p in all_pairs(scheme.n) if overlap(outputs[p[0]], outputs[p[1]]) != 0)
 
 
-def exhaustive_check(scheme: Scheme, *, max_tuples: int = DEFAULT_MAX_TUPLES) -> bool:
+def exhaustive_check(scheme: Scheme) -> bool:
     """True when all pairwise candidate-output overlaps vanish exactly;
     equivalent to the scheme verifier's verdict."""
-    return not tensor_failing_pairs(scheme, max_tuples=max_tuples)
+    return not tensor_failing_pairs(scheme)

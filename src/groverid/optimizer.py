@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .discrimination import CanonicalBlock, block_graph, candidate_blocks
 from .exceptions import IndistinguishableError, ResourceCapError
-from .oracle import DEFAULT_MAX_COMPOSITIONS, Composition, enumerate_compositions
+from .oracle import Composition, enumerate_compositions
 from .schemes import (
     WeightProfile,
     construct_product_scheme,
@@ -138,9 +138,7 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
     return CoverSolution(t=best_t, blocks=tuple(best_blocks), nodes_explored=nodes)
 
 
-def entangled_feasible(
-    n: int, t: int, max_compositions: int = DEFAULT_MAX_COMPOSITIONS
-) -> FeasibilityResult:
+def entangled_feasible(n: int, t: int) -> FeasibilityResult:
     """Decide whether a t-copy parallel scheme exists for n oracles.
 
     The scheme exists exactly when the two-row level LP of the module
@@ -150,12 +148,12 @@ def entangled_feasible(
     over the C(n, l) compositions that put 1 on an l-subset S and add the
     even surplus t - l to min S (to index 1 when S is empty).  The
     compositions of t into n parts are enumerated first for the
-    reachable levels, so ``max_compositions`` caps the work and the
-    witness size before either is allocated.
+    reachable levels, so ``oracle.MAX_COMPOSITIONS`` caps the work and
+    the witness size before either is allocated.
     """
     if n < 2:
         raise ValueError(f"feasibility needs n >= 2, got {n}")
-    comps = enumerate_compositions(n, t, max_compositions)
+    comps = enumerate_compositions(n, t)
     levels = sorted({c.l1 for c in comps})
     npairs = math.comb(n, 2)
     rows = [[ONE] * len(levels), [Fraction(l * (n - l), npairs) for l in levels]]
@@ -183,9 +181,7 @@ def entangled_feasible(
     )
 
 
-def entangled_scan(
-    n: int, t_max: int, max_compositions: int = DEFAULT_MAX_COMPOSITIONS
-) -> list[tuple[int, FeasibilityResult]]:
+def entangled_scan(n: int, t_max: int) -> list[tuple[int, FeasibilityResult]]:
     """Decide t = lower bound, lower bound + 1, ... up to the first
     feasible t, and return each t with its result.
 
@@ -197,19 +193,17 @@ def entangled_scan(
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     results = []
     for t in range(max(1, general_lower_bound(n)), min(t_max, n + 1) + 1):
-        result = entangled_feasible(n, t, max_compositions)
+        result = entangled_feasible(n, t)
         results.append((t, result))
         if result.feasible:
             break
     return results
 
 
-def min_entangled_t(
-    n: int, t_max: int, max_compositions: int = DEFAULT_MAX_COMPOSITIONS
-) -> int | None:
+def min_entangled_t(n: int, t_max: int) -> int | None:
     """Smallest t <= t_max with a feasible t-copy scheme, scanning upward
     from the closed-form lower bound; None when every t is infeasible."""
-    scan = entangled_scan(n, t_max, max_compositions)
+    scan = entangled_scan(n, t_max)
     if scan and scan[-1][1].feasible:
         return scan[-1][0]
     return None

@@ -8,7 +8,6 @@ flip per occurrence of the target.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -16,8 +15,8 @@ from typing import Iterable, Mapping
 from .amplitude import SqrtRational, signed_sqrt_sum
 from .exceptions import ResourceCapError
 
-#: Default cap on the number of compositions an enumeration may produce.
-DEFAULT_MAX_COMPOSITIONS = 100_000
+#: Cap on the number of compositions an enumeration may produce.
+MAX_COMPOSITIONS = 100_000
 
 #: An ordered multi-copy basis label a_1..a_t, entries in 1..N.
 BasisTuple = tuple[int, ...]
@@ -108,19 +107,24 @@ def odd_pair_count(c: Composition) -> int:
     return c.l1 * (c.n - c.l1)
 
 
-def enumerate_compositions(
-    n: int, t: int, max_compositions: int = DEFAULT_MAX_COMPOSITIONS
-) -> list[Composition]:
+def enumerate_compositions(n: int, t: int) -> list[Composition]:
     """All compositions of t into n nonnegative parts, descending
     lexicographic on the count vectors (so ``(t,0,..)`` first), which
-    orders them by their smallest representative tuple."""
+    orders them by their smallest representative tuple.
+
+    Their number C(n+t-1, k), k = min(t, n-1), is built as the running
+    product C(m+1, 1), C(m+2, 2), ..., which never decreases, so the cap
+    is checked after each exact step and huge n or t cost a few steps.
+    """
     if n < 1 or t < 1:
         raise ValueError("need n >= 1 and t >= 1")
-    total = math.comb(n + t - 1, n - 1)
-    if total > max_compositions:
-        raise ResourceCapError(
-            f"{total} compositions for n={n}, t={t} exceeds cap {max_compositions}"
-        )
+    k = min(t, n - 1)
+    m = n + t - 1 - k
+    total = 1
+    for i in range(1, k + 1):
+        total = total * (m + i) // i
+        if total > MAX_COMPOSITIONS:
+            raise ResourceCapError(f"over {MAX_COMPOSITIONS} compositions for n={n}, t={t}")
     out: list[Composition] = []
 
     def rec(prefix: tuple[int, ...], remaining: int, slots: int):

@@ -15,12 +15,14 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .amplitude import SqrtRational
-from .discrimination import CanonicalBlock, all_pairs, block_graph, block_state, uncovered
+from .discrimination import (
+    CanonicalBlock, all_pairs, block_graph, block_state, pair_count, uncovered,
+)
 from .exceptions import IndistinguishableError, ResourceCapError
 from .oracle import AmpState, Composition
 
-#: Default cap on the tuple count of an expanded tensor state.
-DEFAULT_MAX_TUPLES = 1_000_000
+#: Cap on the tuple count of an expanded tensor state.
+MAX_TUPLES = 1_000_000
 
 
 class ProductScheme:
@@ -109,9 +111,12 @@ def construct_product_scheme(n: int) -> ProductScheme:
     """The grouping construction: split 1..n into groups of three, give
     each group {a, b, c} the blocks <a,b> and <a,c>, and cover a leftover
     of one or two elements with one extra pair block apiece anchored at 1.
+    The pair cap is checked first: a scheme over it can be neither
+    verified nor graphed.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
+    pair_count(n)
     if n == 1:
         return ProductScheme(1, [])
     if n == 2:
@@ -168,31 +173,38 @@ def verify_entangled(w: WeightProfile) -> SchemeReport:
     return SchemeReport(valid=not failing, method="parity-mass", failing_pairs=tuple(failing))
 
 
-def expand_to_state(s: Scheme, *, max_tuples: int = DEFAULT_MAX_TUPLES) -> AmpState:
+def expand_to_state(s: Scheme) -> AmpState:
     """Lift a scheme to its multi-copy input state.
 
     Product schemes expand to the full tensor product of their blocks.
     Weight profiles place amplitude sqrt(q) on one representative tuple
     per composition, which preserves every pair condition because the
     parity depends on a tuple only through its composition.
+
+    Both caps are checked before the work they bound: a profile's tuple
+    entries (compositions times t) before any tuple is built, and a
+    product's running tuple count after each block's support.
     """
     if isinstance(s, WeightProfile):
+        entries = len(s.weights) * s.t
+        if entries > MAX_TUPLES:
+            raise ResourceCapError(f"{entries} tuple entries exceeds cap {MAX_TUPLES}")
         amps = {
             comp.representative_tuple(): SqrtRational.sqrt(q)
             for comp, q in s.weights.items()
         }
-        if len(amps) > max_tuples:
-            raise ResourceCapError(f"{len(amps)} tuples exceeds cap {max_tuples}")
         return AmpState(s.n, s.t, amps)
     if not s.blocks:
         raise ValueError("an empty scheme has no input state")
-    supports = [
-        [(i, v) for i, v in enumerate(block_state(b).amps, start=1) if not v.is_zero]
-        for b in s.blocks
-    ]
-    count = math.prod(len(sup) for sup in supports)
-    if count > max_tuples:
-        raise ResourceCapError(f"{count} tuples exceeds cap {max_tuples}")
+    supports = []
+    count = 1
+    for b in s.blocks:
+        supports.append(
+            [(i, v) for i, v in enumerate(block_state(b).amps, start=1) if not v.is_zero]
+        )
+        count *= len(supports[-1])
+        if count > MAX_TUPLES:
+            raise ResourceCapError(f"over {MAX_TUPLES} tuples after {len(supports)} blocks")
     amps: dict[tuple[int, ...], SqrtRational] = {}
     for combo in itertools.product(*supports):
         key = tuple(i for i, _ in combo)

@@ -51,8 +51,13 @@ class TestBounds:
         ("frobnicate",),
         (),
         ("verify", "--scheme", "n5-product", "--max-tuples", "10"),
+        ("identify", "--n", "6", "--hidden", "1", "--max-tuples", "10"),
+        ("build", "--n", "6", "--entangled", "--max-compositions", "10"),
     ],
-    ids=["missing-scheme", "bad-int", "unknown-command", "no-command", "unknown-flag"],
+    ids=[
+        "missing-scheme", "bad-int", "unknown-command", "no-command", "unknown-flag",
+        "no-max-tuples", "no-max-compositions",
+    ],
 )
 def test_argument_errors_print_one_usage_document(capsys, argv):
     code = main(list(argv))
@@ -317,31 +322,68 @@ class TestGraph:
         assert code == 2
 
 
+def check_over_cap(capsys, *argv):
+    """One resource-cap document (run_cli parses all of stdout as one)
+    and exit 2, in under a second."""
+    start = time.perf_counter()
+    code, payload, _ = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert payload["error"] == "resource-cap"
+
+
 class TestPairCap:
     """Inputs whose pair universe C(n,2) is over the cap answer exit 2
     at once, before any graph, pair list or dense state is built."""
-
-    def check(self, capsys, *argv):
-        start = time.perf_counter()
-        code, payload, _ = run_cli(capsys, *argv)
-        assert time.perf_counter() - start < 1
-        assert code == 2
-        assert payload["error"] == "resource-cap"
 
     def test_verify_one_block_n_million(self, capsys, tmp_path):
         doc = {"kind": "product", "n": 10**6, "blocks": [{"type": "pair", "i": 1, "j": 2}]}
         path = tmp_path / "scheme.json"
         path.write_text(json.dumps(doc))
-        self.check(capsys, "verify", "--scheme", str(path))
+        check_over_cap(capsys, "verify", "--scheme", str(path))
 
     def test_graph_block_n_billion(self, capsys):
-        self.check(capsys, "graph", "--block", "pair 1 2", "--n", "1000000000")
+        check_over_cap(capsys, "graph", "--block", "pair 1 2", "--n", "1000000000")
 
     def test_graph_state_n_trillion(self, capsys, tmp_path):
         doc = {"n": 10**12, "amps": [{"i": 1, "mag2": "1/2"}, {"i": 2, "mag2": "1/2"}]}
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
-        self.check(capsys, "graph", "--state", str(path))
+        check_over_cap(capsys, "graph", "--state", str(path))
+
+
+class TestCapsBeforeWork:
+    """Each cap is checked from input sizes before the work it bounds:
+    the tuple cap per block and before any profile tuple is built, the
+    composition cap by a running binomial, and the pair cap before the
+    construction is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("identify", "--n", "4000", "--hidden", "1"),
+            ("search", "--n", "1000000", "--mode", "entangled"),
+            ("search", "--n", "100000000", "--mode", "entangled"),
+            ("build", "--n", "100000000"),
+        ],
+        ids=["identify-n4000", "search-n1e6", "search-n1e8", "build-n1e8"],
+    )
+    def test_over_cap(self, capsys, argv):
+        check_over_cap(capsys, *argv)
+
+    def test_profile_with_huge_t(self, capsys, tmp_path):
+        t = 10**10
+        doc = {"kind": "entangled", "n": 3, "t": t,
+               "weights": [{"composition": [t, 0, 0], "q": "1"}]}
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        check_over_cap(capsys, "identify", "--n", "3", "--hidden", "1", "--scheme", str(path))
+
+    def test_construction_at_the_pair_cap(self, capsys):
+        code, payload, _ = run_cli(capsys, "build", "--n", "4472")
+        assert code == 0
+        assert len(payload["blocks"]) == 2982  # 2*floor(n/3) + n mod 3
+        check_over_cap(capsys, "build", "--n", "4473")
 
 
 class TestEntryPoint:

@@ -157,7 +157,7 @@ class TestEntangledFeasible:
 
     def test_composition_cap(self):
         with pytest.raises(ResourceCapError):
-            entangled_feasible(6, 2, max_compositions=10)
+            entangled_feasible(40, 17)
 
     @pytest.mark.parametrize("t_max", [0, -3])
     def test_scan_rejects_t_max_below_1(self, t_max):

@@ -287,6 +287,9 @@ class TestEnumerateCompositions:
     def test_counts(self):
         assert len(enumerate_compositions(6, 2)) == 21
         assert len(enumerate_compositions(7, 2)) == 28
+        for n in range(1, 9):
+            for t in range(1, 9):
+                assert len(enumerate_compositions(n, t)) == math.comb(n + t - 1, n - 1)
 
     def test_order_for_n2_t1(self):
         comps = enumerate_compositions(2, 1)
@@ -301,7 +304,16 @@ class TestEnumerateCompositions:
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
-            enumerate_compositions(30, 30, max_compositions=1000)
+            enumerate_compositions(30, 30)
+
+    def test_cap_boundary(self):
+        # C(28, 5) = 98280 is under the cap of 10^5.  Over it: one more
+        # copy, C(41, 4) = 101270 on the k = t side of k = min(t, n-1),
+        # and 100001 compositions, for k = n-1 = 1 and for k = t = 1.
+        assert len(enumerate_compositions(6, 23)) == 98280
+        for n, t in [(6, 24), (38, 4), (2, 100_000), (100_001, 1)]:
+            with pytest.raises(ResourceCapError):
+                enumerate_compositions(n, t)
 
 
 class TestAmpState:

@@ -228,9 +228,9 @@ class TestExpandToState:
         assert all(state.mag2(a) == Fraction(1, 4) for a in state.tuples())
 
     def test_tuple_cap(self):
-        scheme = ProductScheme(6, [CanonicalBlock.quad(1, 2, 3, 4, 6)] * 4)
+        scheme = ProductScheme(6, [CanonicalBlock.quad(1, 2, 3, 4, 6)] * 10)  # 4^10 tuples
         with pytest.raises(ResourceCapError):
-            expand_to_state(scheme, max_tuples=100)
+            expand_to_state(scheme)
 
     def test_star_n5_times_quad_matches_known_amplitudes(self):
         state = expand_to_state(builtin("n5-product"))
