@@ -7,7 +7,6 @@ state.  All scheme-level checks run in exact rational arithmetic.
 
 from .amplitude import SqrtRational
 from .discrimination import (
-    FLOAT_TOL,
     CanonicalBlock,
     DiscriminationGraph,
     SingleCopyState,

@@ -1,13 +1,15 @@
 """Exact amplitude values.
 
-Every state in this package is acted on only by diagonal +/-1 operators
-and tensor products, so amplitudes are never added together; they are
-only multiplied and sign-flipped.  That makes ``sign * sqrt(mag2)`` with
-a rational ``mag2`` a closed exact representation for every state the
-constructions produce (all squared moduli in the source material are
-rational).  The only inner products the package takes are between two
-oracle outputs of one input state, <O_k psi|O_h psi> = sum_a |psi_a|^2
-(+/-1), so every overlap is a plain rational sum.
+A multi-copy state is a tensor product of one-copy blocks: each tuple's
+amplitude is the square root of the product of its blocks' squared
+moduli.  The oracles then act only as diagonal +/-1 operators, so
+amplitudes are never added or multiplied; they are only sign-flipped.
+That makes ``sign * sqrt(mag2)`` with a rational ``mag2`` a closed
+exact representation for every state the constructions produce (all
+squared moduli in the source material are rational).  The only inner
+products the package takes are between two oracle outputs of one input
+state, <O_k psi|O_h psi> = sum_a |psi_a|^2 (+/-1), so every overlap is
+a plain rational sum.
 """
 
 from __future__ import annotations
@@ -45,21 +47,10 @@ class SqrtRational:
             return cls.zero()
         return cls(1 if sign >= 0 else -1, mag2)
 
-    def __mul__(self, other: "SqrtRational") -> "SqrtRational":
-        if not isinstance(other, SqrtRational):
-            return NotImplemented
-        s = self.sign * other.sign
-        if s == 0:
-            return SqrtRational.zero()
-        return SqrtRational(s, self.mag2 * other.mag2)
-
     def __neg__(self) -> "SqrtRational":
         if self.sign == 0:
             return self
         return SqrtRational(-self.sign, self.mag2)
-
-    def __float__(self) -> float:
-        return self.sign * math.sqrt(self.mag2)
 
     @property
     def is_zero(self) -> bool:

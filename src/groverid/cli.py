@@ -60,7 +60,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -118,6 +118,8 @@ def cmd_search(args) -> tuple[dict, int]:
             "witness": witness,
             "nodes_explored": solution.nodes_explored,
         }, EXIT_OK
+    if n < 2:
+        raise ValueError(f"--entangled needs n >= 2, got {n}")
     t_max = args.t_max if args.t_max is not None else construction_size(n)
     scan = entangled_scan(n, t_max)
     stats = [

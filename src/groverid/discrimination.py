@@ -1,15 +1,17 @@
 """Single-copy discrimination power.
 
 A one-copy input state tells two phase oracles i and j apart exactly
-when its squared moduli on i and j sum to 1/2.  The pairs a state can
-discriminate form its discrimination graph, and three canonical block
-states (quad, pair, star) dominate everything a single copy can do: any
-nontrivial state can be replaced by one of them without losing edges.
+when its squared moduli on i and j sum to 1/2.  That test reads no
+phase, so a one-copy state is held as its squared moduli alone, exact
+rationals in a sparse map.  The pairs a state can discriminate form its
+discrimination graph, and three canonical block states (quad, pair,
+star) dominate everything a single copy can do: any nontrivial state
+can be replaced by one of them without losing edges.
 
 A graph on 1..N is one integer mask over the C(N,2) pairs: bit k stands
 for the k-th pair of ``all_pairs(N)``, so the row of pairs (i, j > i) is
 a contiguous run of bits.  That layout is known in this module only.
-Every graph, dense state and pair list is capped at ``MAX_PAIRS`` pairs,
+Every graph, state and pair list is capped at ``MAX_PAIRS`` pairs,
 checked before anything of that size is allocated.
 """
 
@@ -19,36 +21,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping
 
-from .amplitude import SqrtRational
 from .exceptions import ResourceCapError, TrivialStateError
 
-#: Tolerance of the float-mode checks on one-copy states (normalization
-#: and the half-sum test); exact states never use it.
-FLOAT_TOL = 1e-9
-
-#: Largest pair universe C(n,2) a graph, a dense state or a pair list may span.
+#: Largest pair universe C(n,2) a graph, a state or a pair list may span.
 MAX_PAIRS = 10**7
 
-#: A one-copy amplitude: exact (SqrtRational) or floating point (complex).
-AmpValue = Union[SqrtRational, complex]
-
 Edge = tuple[int, int]
-
-
-def value_mag2(v: AmpValue) -> Fraction | float:
-    """Squared modulus of an amplitude, exact when the amplitude is."""
-    if isinstance(v, SqrtRational):
-        return v.mag2
-    m = abs(v)
-    return m * m  # overflows to inf, which the norm check rejects
-
-
-def value_to_complex(v: AmpValue) -> complex:
-    if isinstance(v, SqrtRational):
-        return complex(float(v))
-    return complex(v)
 
 
 def pair_count(n: int) -> int:
@@ -80,49 +60,42 @@ def _star(n: int, v: int) -> int:
 
 
 class SingleCopyState:
-    """One-copy state p_1 |1> + ... + p_N |N|, dense over 1..N.
+    """One-copy state p_1 |1> + ... + p_N |N>, held as its squared moduli.
 
-    Exact when every amplitude is a SqrtRational, otherwise complex
-    floats with the usual 1e-9 normalization tolerance.
+    ``mag2s`` maps each index with p_i != 0 to |p_i|^2, a rational, in
+    index order; an absent index has modulus 0.  The moduli must sum to
+    exactly 1, and a float modulus raises TypeError.
     """
 
-    __slots__ = ("n", "amps", "exact")
+    __slots__ = ("n", "mag2s")
 
-    def __init__(self, n: int, amps: Sequence[AmpValue] | Mapping[int, AmpValue]):
+    def __init__(self, n: int, mag2s: Mapping[int, Fraction | int]):
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
         pair_count(n)
-        if isinstance(amps, Mapping):
-            for i in amps:
-                if not 1 <= i <= n:
-                    raise ValueError(f"index {i} out of range 1..{n}")
-            zero = SqrtRational.zero()
-            values = [amps.get(i, zero) for i in range(1, n + 1)]
-        else:
-            values = list(amps)
-            if len(values) != n:
-                raise ValueError(f"expected {n} amplitudes, got {len(values)}")
-        exact = all(isinstance(v, SqrtRational) for v in values)
-        if not exact:
-            values = [value_to_complex(v) for v in values]
+        store: dict[int, Fraction] = {}
+        for i, q in sorted(mag2s.items()):
+            if not 1 <= i <= n:
+                raise ValueError(f"index {i} out of range 1..{n}")
+            if not isinstance(q, (int, Fraction)) or isinstance(q, bool):
+                raise TypeError(f"|p_{i}|^2 must be a rational, got {type(q).__name__}")
+            if q < 0:
+                raise ValueError(f"negative |p_{i}|^2 = {q}")
+            if q:
+                store[i] = Fraction(q)
+        norm = sum(store.values(), Fraction(0))
+        if norm != 1:
+            raise ValueError(f"exact state has squared norm {norm}, expected 1")
         self.n = n
-        self.amps = tuple(values)
-        self.exact = exact
-        norm = sum(value_mag2(v) for v in values)
-        if exact:
-            if norm != 1:
-                raise ValueError(f"exact state has squared norm {norm}, expected 1")
-        elif not abs(norm - 1.0) <= FLOAT_TOL:  # also rejects NaN
-            raise ValueError(f"state has squared norm {norm!r}, expected 1 +/- {FLOAT_TOL}")
+        self.mag2s = store
 
-    def mag2(self, i: int) -> Fraction | float:
+    def mag2(self, i: int) -> Fraction:
         if not 1 <= i <= self.n:
             raise ValueError(f"index {i} out of range 1..{self.n}")
-        return value_mag2(self.amps[i - 1])
+        return self.mag2s.get(i, Fraction(0))
 
     def __repr__(self) -> str:
-        mode = "exact" if self.exact else "float"
-        return f"SingleCopyState(n={self.n}, {mode})"
+        return f"SingleCopyState(n={self.n}, {len(self.mag2s)} nonzero)"
 
 
 @dataclass(frozen=True)
@@ -201,38 +174,42 @@ class CanonicalBlock:
 
 
 def copy_discriminates(s: SingleCopyState, i: int, j: int) -> bool:
-    """True when the state's squared moduli on i and j sum to exactly 1/2
-    (within 1e-9 in float mode)."""
+    """True when the state's squared moduli on i and j sum to exactly 1/2."""
     if i == j:
         raise ValueError("pair indices must be distinct")
-    total = s.mag2(i) + s.mag2(j)
-    if s.exact:
-        return total == Fraction(1, 2)
-    return abs(total - 0.5) <= FLOAT_TOL
+    return s.mag2(i) + s.mag2(j) == Fraction(1, 2)
 
 
 def discrimination_graph(s: SingleCopyState) -> DiscriminationGraph:
-    """Graph of all pairs the state discriminates."""
-    bits = "".join("1" if copy_discriminates(s, i, j) else "0" for i, j in all_pairs(s.n))
-    return DiscriminationGraph(s.n, int(bits[::-1] or "0", 2))
+    """Graph of all pairs the state discriminates, built row by row: the
+    row of pairs (i, j > i) is the tail, past i, of the indicator string
+    of the indices whose modulus is 1/2 - |p_i|^2."""
+    n, half, zero = s.n, Fraction(1, 2), Fraction(0)
+    mag2s = [s.mag2s.get(i, zero) for i in range(1, n + 1)]
+    where: dict[Fraction, list[int]] = {}
+    for k, q in enumerate(mag2s):
+        where.setdefault(q, []).append(k)
+    rows = {}
+    for q in where:
+        row = bytearray(b"0" * n)
+        for k in where.get(half - q, ()):
+            row[k] = ord("1")
+        rows[q] = row.decode()
+    bits = "".join(rows[q][k + 1:] for k, q in enumerate(mag2s))
+    return DiscriminationGraph(n, int(bits[::-1] or "0", 2))
 
 
 def block_state(b: CanonicalBlock) -> SingleCopyState:
-    """The canonical state of a block, squared moduli stored exactly."""
+    """The canonical state of a block: 1/|indices| on each index of a pair
+    or quad; (n-3)/(2(n-2)) on a star's center and 1/(2(n-2)) elsewhere."""
     n = b.n
     pair_count(n)
-    if b.kind == "quad":
-        amp = SqrtRational.sqrt(Fraction(1, 4))
-        return SingleCopyState(n, {i: amp for i in b.indices})
-    if b.kind == "pair":
-        amp = SqrtRational.sqrt(Fraction(1, 2))
-        return SingleCopyState(n, {i: amp for i in b.indices})
-    center = b.indices[0]
-    center_amp = SqrtRational.sqrt(Fraction(n - 3, 2 * (n - 2)))
-    rest_amp = SqrtRational.sqrt(Fraction(1, 2 * (n - 2)))
-    amps = {i: rest_amp for i in range(1, n + 1)}
-    amps[center] = center_amp
-    return SingleCopyState(n, amps)
+    if b.kind != "star":
+        share = Fraction(1, len(b.indices))
+        return SingleCopyState(n, {i: share for i in b.indices})
+    mag2s = dict.fromkeys(range(1, n + 1), Fraction(1, 2 * (n - 2)))
+    mag2s[b.indices[0]] = Fraction(n - 3, 2 * (n - 2))
+    return SingleCopyState(n, mag2s)
 
 
 def block_graph(b: CanonicalBlock) -> DiscriminationGraph:

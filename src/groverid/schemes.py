@@ -199,19 +199,14 @@ def expand_to_state(s: Scheme) -> AmpState:
     supports = []
     count = 1
     for b in s.blocks:
-        supports.append(
-            [(i, v) for i, v in enumerate(block_state(b).amps, start=1) if not v.is_zero]
-        )
+        supports.append(list(block_state(b).mag2s.items()))
         count *= len(supports[-1])
         if count > MAX_TUPLES:
             raise ResourceCapError(f"over {MAX_TUPLES} tuples after {len(supports)} blocks")
-    amps: dict[tuple[int, ...], SqrtRational] = {}
-    for combo in itertools.product(*supports):
-        key = tuple(i for i, _ in combo)
-        value = SqrtRational.sqrt(Fraction(1))
-        for _, v in combo:
-            value = value * v
-        amps[key] = value
+    amps = {
+        tuple(i for i, _ in combo): SqrtRational.sqrt(math.prod(q for _, q in combo))
+        for combo in itertools.product(*supports)
+    }
     return AmpState(s.n, len(supports), amps)
 
 

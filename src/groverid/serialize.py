@@ -13,7 +13,6 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .amplitude import SqrtRational
 from .discrimination import CanonicalBlock, DiscriminationGraph, SingleCopyState
 from .exceptions import SchemaError
 from .oracle import Composition
@@ -34,6 +33,8 @@ def fraction_from_str(text: Any) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise SchemaError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:  # past the int string-conversion digit limit
+        raise SchemaError(f"unreadable rational: {exc}") from None
 
 
 def _require_int(value: Any, what: str) -> int:
@@ -164,41 +165,35 @@ def report_to_doc(report: SchemeReport) -> dict:
 
 
 def state_from_doc(doc: Any) -> SingleCopyState:
-    """Parse a one-copy state file: exact entries carry a squared modulus
-    "num/den" (optional sign), float entries carry re/im parts."""
+    """Parse a one-copy state file: each entry carries an index ``i`` and
+    a squared modulus ``mag2`` ("num/den").  An optional ``sign`` (-1 or
+    1) is checked but not kept, since no test on one copy reads phases."""
     if not isinstance(doc, dict):
         raise SchemaError("state document must be a JSON object")
     n = _require_int(doc.get("n"), "n")
     raw_amps = doc.get("amps")
     if not isinstance(raw_amps, list) or not raw_amps:
         raise SchemaError("state needs a nonempty 'amps' list")
-    amps: dict[int, Any] = {}
+    mag2s: dict[int, Fraction] = {}
     for entry in raw_amps:
         if not isinstance(entry, dict):
             raise SchemaError(f"amp entry must be an object, got {entry!r}")
         i = _require_int(entry.get("i"), "amp index")
         if not 1 <= i <= n:
             raise SchemaError(f"amp index {i} out of range 1..{n}")
-        if i in amps:
+        if i in mag2s:
             raise SchemaError(f"duplicate amp index {i}")
-        if "mag2" in entry:
-            mag2 = fraction_from_str(entry["mag2"])
-            if mag2 < 0:
-                raise SchemaError(f"negative mag2 on index {i}")
-            sign = entry.get("sign", 1)
-            if sign not in (-1, 1):
-                raise SchemaError(f"sign must be -1 or 1, got {sign!r}")
-            amps[i] = SqrtRational.sqrt(mag2, sign)
-        elif "re" in entry or "im" in entry:
-            re = entry.get("re", 0.0)
-            im = entry.get("im", 0.0)
-            if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-                raise SchemaError(f"re/im must be numbers on index {i}")
-            amps[i] = complex(re, im)
-        else:
-            raise SchemaError(f"amp entry for index {i} needs 'mag2' or 're'/'im'")
+        if "mag2" not in entry:
+            raise SchemaError(f"amp entry for index {i} needs 'mag2'")
+        mag2 = fraction_from_str(entry["mag2"])
+        if mag2 < 0:
+            raise SchemaError(f"negative mag2 on index {i}")
+        sign = _require_int(entry.get("sign", 1), "sign")
+        if sign not in (-1, 1):
+            raise SchemaError(f"sign must be -1 or 1, got {sign!r}")
+        mag2s[i] = mag2
     try:
-        return SingleCopyState(n, amps)
+        return SingleCopyState(n, mag2s)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 

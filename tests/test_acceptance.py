@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from groverid.amplitude import SqrtRational
 from groverid.discrimination import (
     CanonicalBlock,
     SingleCopyState,
@@ -77,9 +76,7 @@ def sample_manifold_state(rng, n):
     total = sum(weights)
     for k, w in zip(chosen, weights):
         mag2[k] = mag2.get(k, Fraction(0)) + Fraction(w, 2 * total)
-    return SingleCopyState(
-        n, {k: SqrtRational.sqrt(q) for k, q in mag2.items() if q}
-    )
+    return SingleCopyState(n, mag2)
 
 
 def test_criterion_1_n4_single_copy():

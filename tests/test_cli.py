@@ -1,13 +1,19 @@
 """Tests for the CLI surface: payloads, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverid.cli import main
 
@@ -162,6 +168,24 @@ class TestBuildAndVerify:
         assert code == 3
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 200_000, b"\xff\xfe", b'{"n": ' + b"1" * 5000 + b"}"],
+    ids=["deeply-nested", "not-utf8", "over-digit-limit"],
+)
+@pytest.mark.parametrize(
+    "command", [("verify", "--scheme"), ("graph", "--state")], ids=["verify", "graph"]
+)
+def test_unreadable_file_exits_3(capsys, tmp_path, content, command):
+    """A file the JSON reader cannot take in is malformed input: one
+    malformed-input document, exit 3, for every command that reads one."""
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, payload, _ = run_cli(capsys, *command, str(path))
+    assert code == 3
+    assert payload["error"] == "malformed-input"
+
+
 class TestSearch:
     def test_product_n6(self, capsys):
         code, payload, _ = run_cli(capsys, "search", "--n", "6", "--mode", "product")
@@ -217,6 +241,12 @@ class TestSearch:
         )
         assert code == 2
         assert payload["error"] == "usage"
+
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_entangled_needs_n_at_least_2(self, capsys, n):
+        code, payload, _ = run_cli(capsys, "search", "--n", n, "--mode", "entangled")
+        assert code == 2
+        assert payload == {"error": "usage", "detail": f"--entangled needs n >= 2, got {n}"}
 
     def test_over_cap_exits_2(self, capsys):
         code, payload, _ = run_cli(capsys, "search", "--n", "12", "--mode", "product")
@@ -317,9 +347,134 @@ class TestGraph:
         assert code == 3
         assert payload["error"] == "malformed-input"
 
+    @pytest.mark.parametrize(
+        "entry", ['"re": 0.7071067811865476', '"im": 0.7071067811865476', '"re": 0.5, "im": 0.5']
+    )
+    def test_finite_re_im_state_exits_3(self, capsys, tmp_path, entry):
+        """re/im entries are refused even when they describe a normalized
+        state; the refusal names the key an entry needs."""
+        path = tmp_path / "state.json"
+        path.write_text('{"n": 4, "amps": [{"i": 1, %s}, {"i": 2, %s}]}' % (entry, entry))
+        code, payload, _ = run_cli(capsys, "graph", "--state", str(path))
+        assert code == 3
+        assert payload["error"] == "malformed-input"
+        assert "mag2" in payload["detail"]
+
+    def test_sign_does_not_change_graph(self, capsys, tmp_path):
+        plain = {"n": 6, "amps": [
+            {"i": i, "mag2": q} for i, q in zip((1, 2, 4, 5), ("1/4", "1/4", "3/8", "1/8"))
+        ]}
+        signed = {"n": 6, "amps": [dict(e, sign=s) for e, s in zip(plain["amps"], (1, -1, -1, 1))]}
+        outputs = []
+        for doc in (plain, signed):
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps(doc))
+            assert main(["graph", "--state", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["edges"] == [[1, 2], [4, 5]]
+
+    @pytest.mark.parametrize("sign", ["true", "false", "1.0", '"1"', "null", "0", "2"])
+    def test_sign_not_plus_or_minus_one_exits_3(self, capsys, tmp_path, sign):
+        path = tmp_path / "state.json"
+        path.write_text(
+            '{"n": 2, "amps": [{"i": 1, "mag2": "1/2", "sign": %s}, {"i": 2, "mag2": "1/2"}]}'
+            % sign
+        )
+        code, payload, _ = run_cli(capsys, "graph", "--state", str(path))
+        assert code == 3
+        assert payload["error"] == "malformed-input"
+
+    def test_mag2_over_digit_limit_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n": 2, "amps": [{"i": 1, "mag2": "1" * 5000}]}))
+        code, payload, _ = run_cli(capsys, "graph", "--state", str(path))
+        assert code == 3
+        assert payload["error"] == "malformed-input"
+
     def test_bad_block_spec_exits_2(self, capsys):
         code, payload, _ = run_cli(capsys, "graph", "--block", "pair 1", "--n", "6")
         assert code == 2
+
+
+_FIELD_VALUES = st.one_of(
+    st.integers(-3, 60),
+    st.just(10**12),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.fractions(min_value=-1, max_value=2, max_denominator=20).map(
+        lambda q: f"{q.numerator}/{q.denominator}"
+    ),
+    st.sampled_from(
+        ["1/2", "1/0", "-0/1", "1//2", "1/2/3", " 1/2", "1/2\n", "0x1", "½", "", "1e3"]
+    ),
+    st.text(max_size=6),
+)
+
+
+_ENTRIES = st.one_of(
+    st.dictionaries(st.sampled_from(["i", "mag2", "sign", "re", "im"]), _FIELD_VALUES, max_size=5),
+    st.integers(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.none(),
+)
+
+
+@st.composite
+def _state_docs(draw):
+    """A graph --state document: a valid one, a valid one with one thing
+    broken, a random object, or no object at all."""
+    case = draw(st.sampled_from(["valid", "broken", "random", "not-object"]))
+    if case == "not-object":
+        return draw(st.one_of(_FIELD_VALUES, st.lists(_FIELD_VALUES, max_size=3)))
+    if case == "random":
+        return draw(st.fixed_dictionaries(
+            {"n": st.one_of(st.integers(-2, 50), st.just(10**12), _FIELD_VALUES)},
+            optional={"amps": st.one_of(st.lists(_ENTRIES, max_size=6), _FIELD_VALUES)},
+        ))
+    n = draw(st.integers(1, 50))
+    indices = draw(st.lists(st.integers(1, n), min_size=1, max_size=min(n, 8), unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(indices), max_size=len(indices)))
+    amps = []
+    for i, w in zip(indices, weights):
+        q = Fraction(w, sum(weights))
+        entry = {"i": i, "mag2": f"{q.numerator}/{q.denominator}"}
+        if draw(st.booleans()):
+            entry["sign"] = draw(st.sampled_from([-1, 1]))
+        amps.append(entry)
+    doc = {"n": n, "amps": amps}
+    if case == "broken":
+        k = draw(st.integers(0, len(amps) - 1))
+        change = draw(st.sampled_from(["n", "set", "drop", "duplicate", "replace"]))
+        if change == "n":
+            doc["n"] = draw(st.one_of(st.integers(-2, 50), st.just(10**12)))
+        elif change == "set":
+            key = draw(st.sampled_from(["i", "mag2", "sign", "re", "im"]))
+            amps[k][key] = draw(_FIELD_VALUES)
+        elif change == "drop":
+            amps[k].pop(draw(st.sampled_from(sorted(amps[k]))))
+        elif change == "duplicate":
+            amps.append(dict(amps[k]))
+        else:
+            amps[k] = draw(_ENTRIES)
+    return doc
+
+
+class TestStateFileFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_state_docs())
+    def test_one_document_and_a_known_exit_code(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.json"
+            path.write_text(json.dumps(doc))
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = main(["graph", "--state", str(path)])
+        assert code in (0, 1, 2, 3)
+        payload = json.loads(out.getvalue())  # exactly one document, or this raises
+        assert isinstance(payload, dict)
 
 
 def check_over_cap(capsys, *argv):

@@ -27,28 +27,22 @@ from groverid.oracle import AmpState, GroverOracle, apply_oracle, overlap
 from groverid.schemes import ProductScheme, construct_product_scheme, verify_product
 
 
-def lift(s):
-    """Embed a one-copy state as a t=1 AmpState."""
-    return AmpState(s.n, 1, {(i,): v for i, v in enumerate(s.amps, start=1)})
+def lift(s, rng):
+    """Embed a one-copy state as a t=1 AmpState, with a random sign on
+    every amplitude: the graph must not depend on phases."""
+    return AmpState(
+        s.n, 1, {(i,): SqrtRational.sqrt(q, rng.choice((-1, 1))) for i, q in s.mag2s.items()}
+    )
 
 
-def graph_via_inner_products(s):
+def graph_via_inner_products(s, rng):
     """Independent graph oracle: the edge set of pairs where
-    <psi| f_i f_j |psi> vanishes.
-    Exact states go through the exact overlap; float states, which
-    multi-copy states cannot hold, are summed here in floats."""
+    <psi| f_i f_j |psi> vanishes, psi a randomly signed lift of s."""
+    psi = lift(s, rng)
     edges = []
     for i, j in all_pairs(s.n):
-        if s.exact:
-            psi = lift(s)
-            out = apply_oracle(GroverOracle(s.n, i), apply_oracle(GroverOracle(s.n, j), psi))
-            zero = overlap(psi, out) == 0
-        else:
-            value = sum(
-                abs(v) ** 2 * (-1 if a in (i, j) else 1) for a, v in enumerate(s.amps, start=1)
-            )
-            zero = abs(value) <= 1e-9
-        if zero:
+        out = apply_oracle(GroverOracle(s.n, i), apply_oracle(GroverOracle(s.n, j), psi))
+        if overlap(psi, out) == 0:
             edges.append((i, j))
     return frozenset(edges)
 
@@ -70,9 +64,7 @@ def canonical_blocks(draw, n):
 
 
 def exact_state_from_mag2(n, mag2_by_index):
-    return SingleCopyState(
-        n, {i: SqrtRational.sqrt(q) for i, q in mag2_by_index.items() if q}
-    )
+    return SingleCopyState(n, mag2_by_index)
 
 
 def sample_manifold_state(rng, n):
@@ -100,8 +92,7 @@ class TestCopyDiscriminates:
         assert not copy_discriminates(s, 1, 2)
 
     def test_uniform_n5_false(self):
-        fifth = SqrtRational.sqrt(Fraction(1, 5))
-        s = SingleCopyState(5, [fifth] * 5)
+        s = SingleCopyState(5, dict.fromkeys(range(1, 6), Fraction(1, 5)))
         assert not any(copy_discriminates(s, i, j) for i, j in all_pairs(5))
 
 
@@ -116,23 +107,35 @@ class TestDiscriminationGraph:
         assert g.edges == frozenset((1, k) for k in range(2, 7))
 
     def test_basis_state_trivial(self):
-        s = SingleCopyState(4, {1: SqrtRational.sqrt(Fraction(1))})
+        s = SingleCopyState(4, {1: Fraction(1)})
         assert discrimination_graph(s).edges == frozenset()
 
     def test_matches_inner_product_definition_exact(self):
-        rng = random.Random(5)
+        rng, signs = random.Random(5), random.Random(6)
         for _ in range(40):
             n = rng.randint(3, 7)
             s = sample_manifold_state(rng, n)
-            assert discrimination_graph(s).edges == graph_via_inner_products(s)
+            assert discrimination_graph(s).edges == graph_via_inner_products(s, signs)
 
-    def test_matches_inner_product_definition_float(self):
-        rng = random.Random(6)
-        for _ in range(25):
-            n = rng.randint(3, 6)
-            s = sample_manifold_state(rng, n)
-            floated = SingleCopyState(n, [complex(float(v)) for v in s.amps])
-            assert discrimination_graph(floated).edges == graph_via_inner_products(floated)
+
+class TestSingleCopyState:
+    def test_sparse_moduli_in_index_order(self):
+        s = SingleCopyState(6, {5: Fraction(1, 2), 2: Fraction(1, 4), 3: 0, 1: Fraction(1, 4)})
+        assert list(s.mag2s) == [1, 2, 5]
+        assert list(s.mag2s.values()) == [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
+        assert s.mag2(3) == s.mag2(6) == 0
+
+    @pytest.mark.parametrize("value", [0.5, True, "1/2"])
+    def test_non_rational_modulus_raises(self, value):
+        with pytest.raises(TypeError):
+            SingleCopyState(2, {1: value, 2: Fraction(1, 2)})
+
+    @pytest.mark.parametrize(
+        "mag2s", [{1: Fraction(1, 2), 2: Fraction(1, 3)}, {1: Fraction(3, 2), 2: Fraction(-1, 2)}]
+    )
+    def test_norm_exactly_one_and_moduli_nonnegative(self, mag2s):
+        with pytest.raises(ValueError):
+            SingleCopyState(3, mag2s)
 
 
 class TestBlockState:
@@ -238,7 +241,7 @@ class TestPairCap:
             all_pairs,
             DiscriminationGraph.complete,
             lambda n: DiscriminationGraph(n, 1),
-            lambda n: SingleCopyState(n, {1: SqrtRational.sqrt(Fraction(1))}),
+            lambda n: SingleCopyState(n, {1: Fraction(1)}),
             lambda n: block_state(CanonicalBlock.star(1, n)),
             lambda n: block_graph(CanonicalBlock.pair(1, 2, n)),
             lambda n: block_graph(CanonicalBlock.quad(n - 3, n - 2, n - 1, n, n)),
@@ -263,7 +266,7 @@ class TestCanonicalize:
         assert canonicalize(s) == CanonicalBlock.pair(1, 2, 5)
 
     def test_trivial_state_raises(self):
-        s = SingleCopyState(4, {1: SqrtRational.sqrt(Fraction(1))})
+        s = SingleCopyState(4, {1: Fraction(1)})
         with pytest.raises(TrivialStateError):
             canonicalize(s)
 

@@ -176,20 +176,16 @@ class TestStateDocs:
             ],
         }
         state = state_from_doc(doc)
-        assert state.exact
         assert state.mag2(1) == Fraction(1, 2)
         assert state.mag2(5) == 0
 
-    def test_float_state(self):
-        doc = {
-            "n": 2,
-            "amps": [
-                {"i": 1, "re": 0.7071067811865476},
-                {"i": 2, "im": 0.7071067811865476},
-            ],
-        }
-        state = state_from_doc(doc)
-        assert not state.exact
+    @pytest.mark.parametrize(
+        "entry", [{"re": 0.7071067811865476}, {"im": 0.7071067811865476}], ids=["re", "im"]
+    )
+    def test_re_im_entries_refused(self, entry):
+        doc = {"n": 2, "amps": [{"i": 1, **entry}, {"i": 2, **entry}]}
+        with pytest.raises(SchemaError, match="mag2"):
+            state_from_doc(doc)
 
     def test_malformed_states(self):
         bad_docs = [
