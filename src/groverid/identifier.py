@@ -7,18 +7,26 @@ recorded applications.  Classification compares the black-box output
 against the precomputed outputs of every candidate oracle; for a valid
 scheme those are mutually orthogonal, so exactly one overlap has unit
 magnitude.  Overlaps are exact rationals and are compared with ``==``.
+
+A product scheme runs one block at a time.  Its input is a tensor
+product of one-copy states and every oracle is diagonal, so each
+candidate overlap is a product over blocks of one-copy sums: the box
+gets each block's one-copy state as its own query, and no multi-copy
+state is built.  A weight profile runs on its expanded t-copy state.
+Both paths share one classification loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
-from .discrimination import all_pairs
-from .exceptions import AmbiguousClassificationError
+from .amplitude import SqrtRational
+from .discrimination import all_pairs, block_state, pair_count
+from .exceptions import AmbiguousClassificationError, ResourceCapError
 from .oracle import AmpState, GroverOracle, apply_oracle, apply_oracle_to_copy, overlap
-from .schemes import ProductScheme, Scheme, expand_to_state
+from .schemes import MAX_TUPLES, ProductScheme, Scheme, WeightProfile, expand_to_state
 
 
 class OracleBlackBox:
@@ -58,7 +66,8 @@ def run_identification(
     surfaces as AmbiguousClassificationError, since its candidate
     outputs are not mutually orthogonal.  Query count equals the
     scheme's copy count: the empty n=1 scheme names its only candidate
-    without a query.
+    without a query.  Either path yields the exact overlaps
+    <O_k psi|out>, checked in the order k = 1..n.
     """
     box = hidden if isinstance(hidden, OracleBlackBox) else OracleBlackBox(hidden)
     if box.n != scheme.n:
@@ -69,18 +78,17 @@ def run_identification(
             per_candidate_overlaps=(Fraction(1),),
         )
 
-    psi = expand_to_state(scheme)
     calls_before = box.calls
-    out = psi
-    for copy in range(1, psi.t + 1):
-        out = box.apply(out, copy)
+    if isinstance(scheme, WeightProfile):
+        overlaps = _tensor_overlaps(scheme, box)
+    else:
+        overlaps = _product_overlaps(scheme, box)
     queries = box.calls - calls_before
 
     magnitudes: list[Fraction] = []
     matches: list[int] = []
-    for k in range(1, scheme.n + 1):
-        candidate = apply_oracle(GroverOracle(scheme.n, k), psi)
-        mag = abs(overlap(candidate, out))
+    for k, value in enumerate(overlaps, start=1):
+        mag = abs(value)
         magnitudes.append(mag)
         if mag == 1:
             matches.append(k)
@@ -99,6 +107,67 @@ def run_identification(
         identified=matches[0],
         per_candidate_overlaps=tuple(magnitudes),
     )
+
+
+def _tensor_overlaps(scheme: WeightProfile, box: OracleBlackBox) -> Iterable[Fraction]:
+    """Query every copy slot of the expanded state now; the candidate
+    overlaps follow lazily, so classification stops at the first bad one."""
+    psi = expand_to_state(scheme)
+    out = psi
+    for copy in range(1, psi.t + 1):
+        out = box.apply(out, copy)
+    return (
+        overlap(apply_oracle(GroverOracle(scheme.n, k), psi), out)
+        for k in range(1, scheme.n + 1)
+    )
+
+
+def _product_overlaps(scheme: ProductScheme, box: OracleBlackBox) -> list[Fraction]:
+    """The n candidate overlaps of a product scheme, one block at a time.
+
+    Block b's state phi_b goes through the box as one one-copy query;
+    s_b(i) is the sign of its output on index i.  Candidate k's overlap
+    is the product over blocks of base_b = sum_i |phi_b(i)|^2 s_b(i),
+    except that a block holding k gives base_b - 2 |phi_b(k)|^2 s_b(k).
+    So each candidate takes the product of the nonzero bases, a count of
+    the zero ones, and its own factors: O(n + sum_b |supp b|) Fraction
+    operations in all, none a division by zero, each value exactly the
+    tensor-state overlap.
+
+    The pair cap comes first, as in ``block_state``, and also bounds the
+    n-sized lists; the support entries (a pair 2, a quad 4, a star n) are
+    capped at ``MAX_TUPLES`` before any block state is built.
+    """
+    n = scheme.n
+    pair_count(n)
+    entries = sum(n if b.kind == "star" else len(b.indices) for b in scheme.blocks)
+    if entries > MAX_TUPLES:
+        raise ResourceCapError(
+            f"{entries} support entries in {scheme.t} blocks exceeds cap {MAX_TUPLES}"
+        )
+    product, zeros = Fraction(1), 0
+    ratio = [Fraction(1)] * (n + 1)  # k's own factors over the nonzero bases they replace
+    zeros_held = [0] * (n + 1)  # zero bases among the blocks that hold k
+    for b in scheme.blocks:
+        mag2s = block_state(b).mag2s
+        state = AmpState(n, 1, {(i,): SqrtRational.sqrt(q) for i, q in mag2s.items()})
+        out = box.apply(state, 1).amps
+        signed = {i: q if out[(i,)].sign > 0 else -q for i, q in mag2s.items()}
+        base = sum(signed.values(), Fraction(0))
+        if base:
+            product *= base
+        else:
+            zeros += 1
+        # one exact division per distinct term, not per index; a zero
+        # base is counted instead of divided out
+        own = {w: (base - 2 * w) / (base or 1) for w in set(signed.values())}
+        for i, w in signed.items():
+            ratio[i] *= own[w]
+            zeros_held[i] += not base
+    return [
+        product * ratio[k] if zeros == zeros_held[k] else Fraction(0)
+        for k in range(1, n + 1)
+    ]
 
 
 def tensor_failing_pairs(scheme: Scheme) -> tuple[tuple[int, int], ...]:

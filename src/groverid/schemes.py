@@ -21,7 +21,9 @@ from .discrimination import (
 from .exceptions import IndistinguishableError, ResourceCapError
 from .oracle import AmpState, Composition
 
-#: Cap on the tuple count of an expanded tensor state.
+#: Cap on the entries identification reads: the tuple count of an
+#: expanded state, a weight profile's compositions times t, or a product
+#: scheme's support entries summed over its blocks.
 MAX_TUPLES = 1_000_000
 
 
@@ -177,9 +179,11 @@ def expand_to_state(s: Scheme) -> AmpState:
     """Lift a scheme to its multi-copy input state.
 
     Product schemes expand to the full tensor product of their blocks.
-    Weight profiles place amplitude sqrt(q) on one representative tuple
-    per composition, which preserves every pair condition because the
-    parity depends on a tuple only through its composition.
+    Identification never expands one (it runs block by block), so this
+    branch is the tests' reference for small n.  Weight profiles place
+    amplitude sqrt(q) on one representative tuple per composition, which
+    preserves every pair condition because the parity depends on a tuple
+    only through its composition.
 
     Both caps are checked before the work they bound: a profile's tuple
     entries (compositions times t) before any tuple is built, and a

@@ -30,6 +30,7 @@ for argv in (
     ["search", "--n", "5", "--mode", "entangled"],
     ["search", "--n", "4", "--mode", "product"],
     ["identify", "--n", "5", "--hidden", "3", "--scheme", "n5-product"],
+    ["identify", "--n", "6", "--hidden", "2", "--scheme", "n6-entangled"],
 ):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -54,6 +55,6 @@ def test_tracer_sees_every_traced_function(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0] * 6
+    assert result["codes"] == [0] * 7
     assert {name for name, calls in result["calls"].items() if not calls} == set()
     assert result["counts"] and all(value > 0 for value in result["counts"].values())

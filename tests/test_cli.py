@@ -298,6 +298,14 @@ class TestIdentify:
         assert code == 0
         assert payload == {"identified": 1, "queries": 0}
 
+    def test_construction_at_the_pair_cap(self, capsys):
+        """The largest construction runs block by block in seconds."""
+        start = time.perf_counter()
+        code, payload, _ = run_cli(capsys, "identify", "--n", "4472", "--hidden", "4472")
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert payload == {"identified": 4472, "queries": 2982}
+
     def test_invalid_scheme_is_ambiguous_exits_1(self, capsys, tmp_path):
         doc = {"kind": "product", "n": 3, "blocks": [{"type": "pair", "i": 1, "j": 2}]}
         path = tmp_path / "uncovering.json"
@@ -477,6 +485,76 @@ class TestStateFileFuzz:
         assert isinstance(payload, dict)
 
 
+_BLOCK_KEYS = {"pair": ("i", "j"), "quad": ("a", "b", "c", "d"), "star": ("i",)}
+
+
+@st.composite
+def _scheme_docs(draw):
+    """A verify/identify --scheme document: a valid product or entangled
+    scheme, or one with n replaced, or a field or entry dropped,
+    duplicated or replaced."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 50))
+        kinds = [kind for kind, least in (("pair", 2), ("quad", 4), ("star", 3)) if n >= least]
+        entries = []
+        for _ in range(draw(st.integers(1, 4)) if kinds else 0):
+            kind = draw(st.sampled_from(kinds))
+            keys = _BLOCK_KEYS[kind]
+            indices = draw(st.lists(
+                st.integers(1, n), min_size=len(keys), max_size=len(keys), unique=True
+            ))
+            entries.append({"type": kind, **dict(zip(keys, sorted(indices)))})
+        doc = {"kind": "product", "n": n, "blocks": entries}
+    else:
+        n, t = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+        picks = draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=t, max_size=t), min_size=1, max_size=5
+        ))
+        counts = {tuple(pick.count(i) for i in range(n)) for pick in picks}
+        masses = draw(st.lists(st.integers(1, 9), min_size=len(counts), max_size=len(counts)))
+        entries = []
+        for c, m in zip(sorted(counts), masses):
+            q = Fraction(m, sum(masses))
+            entries.append({"composition": list(c), "q": f"{q.numerator}/{q.denominator}"})
+        doc = {"kind": "entangled", "n": n, "t": t, "weights": entries}
+    change = draw(st.sampled_from(["none", "n", "drop", "duplicate", "replace"]))
+    if change == "n":
+        doc["n"] = draw(st.one_of(st.integers(-2, 50), st.just(10**12)))
+    elif change != "none":
+        target = doc
+        if entries and draw(st.booleans()):
+            target = entries[draw(st.integers(0, len(entries) - 1))]
+        key = draw(st.sampled_from(sorted(target)))
+        if change == "drop":
+            target.pop(key)
+        elif change == "duplicate" and entries:
+            entries.append(dict(draw(st.sampled_from(entries))))
+        else:
+            target[key] = draw(st.one_of(_FIELD_VALUES, _ENTRIES))
+    return doc
+
+
+class TestSchemeFileFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_scheme_docs())
+    def test_one_document_and_a_known_exit_code(self, doc):
+        n = doc.get("n")
+        n = n if isinstance(n, int) and not isinstance(n, bool) else 5
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scheme.json"
+            path.write_text(json.dumps(doc))
+            for argv in (
+                ["verify", "--scheme", str(path)],
+                ["identify", "--n", str(n), "--hidden", "1", "--scheme", str(path)],
+            ):
+                out = io.StringIO()
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                assert code in (0, 1, 2, 3)
+                payload = json.loads(out.getvalue())  # exactly one document, or this raises
+                assert isinstance(payload, dict)
+
+
 def check_over_cap(capsys, *argv):
     """One resource-cap document (run_cli parses all of stdout as one)
     and exit 2, in under a second."""
@@ -509,22 +587,36 @@ class TestPairCap:
 
 class TestCapsBeforeWork:
     """Each cap is checked from input sizes before the work it bounds:
-    the tuple cap per block and before any profile tuple is built, the
-    composition cap by a running binomial, and the pair cap before the
-    construction is built."""
+    the tuple cap before any profile tuple is built, the support cap
+    before any product block state is built, the composition cap by a
+    running binomial, and the pair cap before the construction is built."""
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ("identify", "--n", "4000", "--hidden", "1"),
+            ("identify", "--n", "4473", "--hidden", "1"),
             ("search", "--n", "1000000", "--mode", "entangled"),
             ("search", "--n", "100000000", "--mode", "entangled"),
             ("build", "--n", "100000000"),
         ],
-        ids=["identify-n4000", "search-n1e6", "search-n1e8", "build-n1e8"],
+        ids=["identify-n4473", "search-n1e6", "search-n1e8", "build-n1e8"],
     )
     def test_over_cap(self, capsys, argv):
         check_over_cap(capsys, *argv)
+
+    def test_identify_n4000_is_under_every_cap(self, capsys):
+        code, payload, _ = run_cli(capsys, "identify", "--n", "4000", "--hidden", "1")
+        assert code == 0
+        assert payload == {"identified": 1, "queries": 2667}
+
+    def test_product_support_over_cap(self, capsys, tmp_path):
+        """224 stars at n = 4472 hold 224 * 4472 = 1,001,728 support
+        entries, just over MAX_TUPLES."""
+        doc = {"kind": "product", "n": 4472,
+               "blocks": [{"type": "star", "i": i} for i in range(1, 225)]}
+        path = tmp_path / "stars.json"
+        path.write_text(json.dumps(doc))
+        check_over_cap(capsys, "identify", "--n", "4472", "--hidden", "1", "--scheme", str(path))
 
     def test_profile_with_huge_t(self, capsys, tmp_path):
         t = 10**10

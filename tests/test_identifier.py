@@ -1,14 +1,25 @@
 """Tests for black-box identification runs."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groverid.discrimination import CanonicalBlock
+from groverid.discrimination import CanonicalBlock, candidate_blocks
 from groverid.exceptions import AmbiguousClassificationError
 from groverid.identifier import OracleBlackBox, exhaustive_check, run_identification
-from groverid.oracle import GroverOracle
-from groverid.schemes import ProductScheme, builtin, construct_product_scheme
+from groverid.oracle import GroverOracle, apply_oracle, composition_of, overlap
+from groverid.schemes import (
+    ProductScheme,
+    WeightProfile,
+    builtin,
+    construct_product_scheme,
+    construction_size,
+    expand_to_state,
+    verify_product,
+)
 
 
 class TestRunIdentification:
@@ -94,6 +105,97 @@ class TestRunIdentification:
                         runs_clean = False
                         break
                 assert runs_clean == exhaustive_check(scheme)
+
+
+_CANDIDATES = {n: list(candidate_blocks(n)) for n in range(2, 8)}
+
+
+@st.composite
+def _product_schemes(draw):
+    n = draw(st.integers(2, 7))
+    return ProductScheme(n, draw(st.lists(st.sampled_from(_CANDIDATES[n]), min_size=1, max_size=3)))
+
+
+def _outcome(scheme, hidden):
+    """(overlaps, identified) of a run, or the ambiguity message."""
+    try:
+        run = run_identification(scheme, hidden)
+    except AmbiguousClassificationError as exc:
+        return str(exc)
+    return run.per_candidate_overlaps, run.identified
+
+
+def _as_profile(scheme: ProductScheme) -> WeightProfile:
+    """The weight profile with the same mass on every composition as the
+    product's tensor state; every candidate overlap depends on the state
+    only through those masses, so identifying it runs the tensor path."""
+    masses: Counter = Counter()
+    for a, v in expand_to_state(scheme).amps.items():
+        masses[composition_of(a, scheme.n)] += v.mag2
+    return WeightProfile(scheme.n, scheme.t, masses)
+
+
+class TestBlockByBlock:
+    """A product scheme runs one block at a time; its overlaps, queries
+    and ambiguity messages must be those of the tensor state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scheme=_product_schemes())
+    def test_matches_tensor_state(self, scheme):
+        n, psi = scheme.n, expand_to_state(scheme)
+        profile = _as_profile(scheme)
+        for h in range(1, n + 1):
+            out = apply_oracle(GroverOracle(n, h), psi)
+            expected = tuple(
+                abs(overlap(apply_oracle(GroverOracle(n, k), psi), out)) for k in range(1, n + 1)
+            )
+            box = OracleBlackBox(GroverOracle(n, h))
+            got = _outcome(scheme, box)
+            assert box.calls == scheme.t
+            assert got == _outcome(profile, GroverOracle(n, h))
+            if not isinstance(got, str):
+                overlaps, identified = got
+                assert overlaps == expected
+                assert all(type(mag) is Fraction for mag in overlaps)
+                assert identified == h
+            elif verify_product(scheme).valid:
+                pytest.fail(f"covering scheme {scheme.blocks} is ambiguous: {got}")
+
+    def test_strategy_reaches_every_outcome(self):
+        """The property above sees covering and non-covering schemes, and
+        both ambiguity messages."""
+        seen = set()
+
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(scheme=_product_schemes())
+        def collect(scheme):
+            seen.add("covering" if verify_product(scheme).valid else "not covering")
+            for h in range(1, scheme.n + 1):
+                outcome = _outcome(scheme, GroverOracle(scheme.n, h))
+                if isinstance(outcome, str):
+                    seen.add("magnitude" if outcome.startswith("candidate") else "count")
+
+        collect()
+        assert seen == {"covering", "not covering", "magnitude", "count"}
+
+    def test_builds_no_tensor_state(self, monkeypatch):
+        import groverid.identifier as identifier
+
+        def refuse(*args):
+            raise AssertionError("a product scheme reached the tensor path")
+
+        for name in ("expand_to_state", "apply_oracle", "overlap"):
+            monkeypatch.setattr(identifier, name, refuse)
+        run = run_identification(builtin("n5-product"), GroverOracle(5, 4))
+        assert run.identified == 4
+
+    def test_construction_scales(self):
+        for n in range(15, 41):
+            scheme = construct_product_scheme(n)
+            for k in range(1, n + 1):
+                run = run_identification(scheme, GroverOracle(n, k))
+                assert run.identified == k
+                assert run.hidden_queries_used == construction_size(n)
 
 
 class TestExhaustiveCheck:
