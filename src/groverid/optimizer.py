@@ -5,6 +5,13 @@ blocks for the minimal product scheme, and a rational LP feasibility
 test for the existence of a t-copy entangled scheme.  Both are
 deterministic and return verifiable witnesses.
 
+The cover search breaks the symmetry of 1..N instead of exploring every
+relabelling of a partial cover (orbital branching: Ostrowski, Linderoth,
+Rossi & Smriglio, Math. Program. 126, 2011).  The vertices no chosen
+block holds and the branch pair does not hold are interchangeable, so a
+block may bring in only the lowest of them; ``min_product_cover`` gives
+the rule and its proof.
+
 The entangled LP is solved in its symmetry-reduced form.  Its pair
 constraints (odd-parity mass 1/2 on every pair) are permuted among
 themselves by any permutation of 1..N, so the average of a solution
@@ -29,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .discrimination import CanonicalBlock, block_graph, candidate_blocks
+from .discrimination import CanonicalBlock, all_pairs, block_graph, candidate_blocks
 from .exceptions import IndistinguishableError, ResourceCapError
 from .oracle import Composition, enumerate_compositions
 from .schemes import (
@@ -41,6 +48,9 @@ from .simplex import HALF, ONE, phase1_feasible
 
 #: Largest n the exhaustive cover search accepts by default.
 DEFAULT_COVER_CAP = 9
+
+#: Most search nodes one cover search may enter.
+MAX_COVER_NODES = 5 * 10**6
 
 
 @dataclass(frozen=True)
@@ -85,9 +95,30 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
     graph on n, with a deterministic witness.
 
     Branch and bound: starts from the grouping construction as the
-    incumbent, always branches on the uncovered pair with the fewest
-    covering candidates, and prunes on ceil(uncovered / max coverage).
-    Failed subproblems are memoized by their uncovered-pair set.
+    incumbent, always branches on the uncovered pair {a, b} that comes
+    first in a static order (fewest covering candidates first), and
+    prunes on ceil(uncovered / max coverage).  Failed subproblems are
+    memoized by their uncovered-pair set.  Entering more than
+    ``MAX_COVER_NODES`` nodes raises ResourceCapError.
+
+    Symmetry breaking.  The search carries ``touched``, the vertices of
+    the blocks chosen so far; ``free`` is every vertex in neither
+    ``touched`` nor {a, b}.  A block covering {a, b} is tried only when
+    its new vertices (those in ``free``) are the lowest ones of ``free``;
+    a block with no new vertex is always tried.  This loses no optimum:
+
+    - A pair block {i, j} covers the edges with exactly one end in
+      {i, j}, a quad the edges inside it, and a star the edges at its
+      centre (all of K4 at n = 4).  So any permutation fixing every
+      touched vertex maps the covered set, and with it the uncovered
+      set U, to itself.
+    - Take any optimal completion of U.  One of its blocks covers {a, b}.
+      Permuting the free vertices, with the touched ones and a and b
+      fixed, makes that block's new vertices the lowest free ones, and
+      the permuted blocks are again an optimal completion of U.
+    - By induction the search from U finds an optimal completion for
+      every ``touched`` a path can carry, so the ``failed`` memo, keyed
+      by U alone, stays sound.
     """
     if n < 3:
         if n == 2:
@@ -99,7 +130,11 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
     inst = CoverInstance.build(n)
     npairs = n * (n - 1) // 2
     universe = (1 << npairs) - 1
+    all_vertices = (1 << n) - 1
     cover_lists = [[c for c, m in enumerate(inst.masks) if m >> b & 1] for b in range(npairs)]
+    # Vertex bit v-1 stands for index v.
+    vertex_masks = [sum(1 << (v - 1) for v in b.indices) for b in inst.candidates]
+    pair_vertices = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in all_pairs(n)]
     # Static branching order: fewest covering candidates first.
     pair_order = sorted(range(npairs), key=lambda b: (len(cover_lists[b]), b))
     max_cover = max(6, 2 * (n - 2), n - 1)
@@ -110,9 +145,11 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
     failed: dict[int, int] = {}
     chosen: list[int] = []
 
-    def dfs(uncovered: int) -> None:
+    def dfs(uncovered: int, touched: int) -> None:
         nonlocal best_t, best_blocks, nodes
         nodes += 1
+        if nodes > MAX_COVER_NODES:
+            raise ResourceCapError(f"cover search for n={n} over {MAX_COVER_NODES} nodes")
         if uncovered == 0:
             if len(chosen) < best_t:
                 best_t = len(chosen)
@@ -127,14 +164,18 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
             return
         entry_best = best_t
         branch_bit = next(b for b in pair_order if uncovered >> b & 1)
+        free = all_vertices & ~(touched | pair_vertices[branch_bit])
         for c in cover_lists[branch_bit]:
+            new = vertex_masks[c] & free
+            if free & ((1 << new.bit_length()) - 1) != new:
+                continue
             chosen.append(c)
-            dfs(uncovered & ~inst.masks[c])
+            dfs(uncovered & ~inst.masks[c], touched | vertex_masks[c])
             chosen.pop()
         if best_t == entry_best and failed.get(uncovered, -1) < budget:
             failed[uncovered] = budget
 
-    dfs(universe)
+    dfs(universe, 0)
     return CoverSolution(t=best_t, blocks=tuple(best_blocks), nodes_explored=nodes)
 
 

@@ -18,6 +18,9 @@ from .exceptions import ResourceCapError
 #: Cap on the number of compositions an enumeration may produce.
 MAX_COMPOSITIONS = 100_000
 
+#: Cap on the counts those compositions hold together: n per composition.
+MAX_COMPOSITION_ENTRIES = 10**7
+
 #: An ordered multi-copy basis label a_1..a_t, entries in 1..N.
 BasisTuple = tuple[int, ...]
 
@@ -115,6 +118,12 @@ def enumerate_compositions(n: int, t: int) -> list[Composition]:
     Their number C(n+t-1, k), k = min(t, n-1), is built as the running
     product C(m+1, 1), C(m+2, 2), ..., which never decreases, so the cap
     is checked after each exact step and huge n or t cost a few steps.
+    The n counts of every composition are capped as well, at
+    ``MAX_COMPOSITION_ENTRIES``, before any is built.
+
+    Each composition follows from the one before: take one from the last
+    nonzero part before the final slot and put it, with the final slot's
+    count, into the part after it.
     """
     if n < 1 or t < 1:
         raise ValueError("need n >= 1 and t >= 1")
@@ -125,16 +134,23 @@ def enumerate_compositions(n: int, t: int) -> list[Composition]:
         total = total * (m + i) // i
         if total > MAX_COMPOSITIONS:
             raise ResourceCapError(f"over {MAX_COMPOSITIONS} compositions for n={n}, t={t}")
-    out: list[Composition] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            out.append(Composition(prefix + (remaining,)))
-            return
-        for c in range(remaining, -1, -1):
-            rec(prefix + (c,), remaining - c, slots - 1)
-
-    rec((), t, n)
+    if total * n > MAX_COMPOSITION_ENTRIES:
+        raise ResourceCapError(
+            f"{total} compositions for n={n}, t={t} hold {total * n} counts, "
+            f"over the cap of {MAX_COMPOSITION_ENTRIES}"
+        )
+    counts = [t] + [0] * (n - 1)
+    out = [Composition(tuple(counts))]
+    last = n - 1
+    while counts[last] < t:
+        i = last - 1
+        while not counts[i]:
+            i -= 1
+        tail = counts[last]
+        counts[last] = 0
+        counts[i] -= 1
+        counts[i + 1] = tail + 1
+        out.append(Composition(tuple(counts)))
     return out
 
 

@@ -253,6 +253,24 @@ class TestSearch:
         assert code == 2
         assert payload["error"] == "resource-cap"
 
+    def test_product_n12_under_the_node_budget(self, capsys):
+        code, payload, _ = run_cli(
+            capsys, "search", "--n", "12", "--mode", "product", "--max-n", "12"
+        )
+        assert code == 0
+        assert payload["min_t"] == 7
+        assert len(payload["witness"]["blocks"]) == 7
+
+    def test_product_n14_over_the_node_budget_exits_2(self, capsys):
+        start = time.perf_counter()
+        code, payload, _ = run_cli(
+            capsys, "search", "--n", "14", "--mode", "product", "--max-n", "14"
+        )
+        assert time.perf_counter() - start < 15
+        assert code == 2
+        assert payload["error"] == "resource-cap"
+        assert "nodes" in payload["detail"]
+
     def test_deterministic_bytes(self, capsys):
         outputs = []
         for _ in range(2):
@@ -608,6 +626,16 @@ class TestCapsBeforeWork:
         code, payload, _ = run_cli(capsys, "identify", "--n", "4000", "--hidden", "1")
         assert code == 0
         assert payload == {"identified": 1, "queries": 2667}
+
+    def test_entangled_build_n1500_answers_infeasible(self, capsys):
+        code, payload, _ = run_cli(capsys, "build", "--n", "1500", "--entangled", "--t", "1")
+        assert code == 1
+        assert payload == {"feasible": False, "n": 1500, "t": 1}
+
+    def test_entangled_build_over_the_entries_cap(self, capsys):
+        """4472 one-copy compositions of 4472 counts each hold about
+        2 * 10^7 entries, over MAX_COMPOSITION_ENTRIES."""
+        check_over_cap(capsys, "build", "--n", "4472", "--entangled", "--t", "1")
 
     def test_product_support_over_cap(self, capsys, tmp_path):
         """224 stars at n = 4472 hold 224 * 4472 = 1,001,728 support

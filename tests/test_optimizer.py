@@ -1,10 +1,12 @@
 """Tests for the exact cover search and LP feasibility."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
+from groverid import optimizer
 from groverid.discrimination import (
     DiscriminationGraph,
     all_pairs,
@@ -16,6 +18,7 @@ from groverid.exceptions import IndistinguishableError, ResourceCapError
 from groverid.identifier import exhaustive_check, run_identification
 from groverid.optimizer import (
     CoverInstance,
+    CoverSolution,
     entangled_feasible,
     entangled_scan,
     min_entangled_t,
@@ -25,6 +28,7 @@ from groverid.oracle import GroverOracle, enumerate_compositions, tau_parity
 from groverid.schemes import (
     ProductScheme,
     builtin,
+    construct_product_scheme,
     construction_size,
     general_lower_bound,
     verify_entangled,
@@ -69,6 +73,72 @@ def brute_min_cover_bitmask(n, t_limit):
             if union == full:
                 return size
     return None
+
+
+def unpruned_min_cover(n):
+    """The cover search without symmetry breaking or node budget: every
+    candidate covering the branch pair is tried, so every relabelling of
+    a partial cover is explored.  Same incumbent, order, bound and memo."""
+    inst = CoverInstance.build(n)
+    npairs = n * (n - 1) // 2
+    cover_lists = [[c for c, m in enumerate(inst.masks) if m >> b & 1] for b in range(npairs)]
+    pair_order = sorted(range(npairs), key=lambda b: (len(cover_lists[b]), b))
+    max_cover = max(6, 2 * (n - 2), n - 1)
+    incumbent = construct_product_scheme(n).blocks
+    best = {"t": len(incumbent), "blocks": incumbent, "nodes": 0}
+    failed = {}
+    chosen = []
+
+    def dfs(uncovered):
+        best["nodes"] += 1
+        if uncovered == 0:
+            if len(chosen) < best["t"]:
+                best["t"] = len(chosen)
+                best["blocks"] = tuple(inst.candidates[c] for c in chosen)
+            return
+        budget = best["t"] - 1 - len(chosen)
+        if budget <= 0 or -(-uncovered.bit_count() // max_cover) > budget:
+            return
+        if failed.get(uncovered, -1) >= budget:
+            return
+        entry_best = best["t"]
+        branch_bit = next(b for b in pair_order if uncovered >> b & 1)
+        for c in cover_lists[branch_bit]:
+            chosen.append(c)
+            dfs(uncovered & ~inst.masks[c])
+            chosen.pop()
+        if best["t"] == entry_best and failed.get(uncovered, -1) < budget:
+            failed[uncovered] = budget
+
+    dfs((1 << npairs) - 1)
+    return CoverSolution(best["t"], best["blocks"], best["nodes"])
+
+
+class TestSymmetryBrokenCover:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_agrees_with_unpruned_search(self, n):
+        sol = min_product_cover(n, max_n=10)
+        ref = unpruned_min_cover(n)
+        assert sol.t == ref.t
+        assert sol.blocks == ref.blocks
+        assert sol.nodes_explored <= ref.nodes_explored
+
+    def test_exact_minima_n11_to_n13(self):
+        start = time.perf_counter()
+        # The minima meet ceil((2n - 5) / 3), conjectured for every n >= 4.
+        for n, t in ((11, 6), (12, 7), (13, 7)):
+            sol = min_product_cover(n, max_n=13)
+            assert sol.t == t == -(-(2 * n - 5) // 3)
+            assert verify_product(ProductScheme(n, sol.blocks)).valid
+        assert time.perf_counter() - start < 30
+
+    def test_node_budget_is_checked_as_each_node_is_entered(self, monkeypatch):
+        nodes = min_product_cover(9).nodes_explored
+        monkeypatch.setattr(optimizer, "MAX_COVER_NODES", nodes)
+        assert min_product_cover(9).nodes_explored == nodes
+        monkeypatch.setattr(optimizer, "MAX_COVER_NODES", nodes - 1)
+        with pytest.raises(ResourceCapError, match=f"over {nodes - 1} nodes"):
+            min_product_cover(9)
 
 
 class TestMinProductCover:

@@ -315,6 +315,18 @@ class TestEnumerateCompositions:
             with pytest.raises(ResourceCapError):
                 enumerate_compositions(n, t)
 
+    def test_entries_cap(self):
+        # 3163 one-copy compositions of 3163 counts each are 10,004,569
+        # entries, just over MAX_COMPOSITION_ENTRIES; the count is under
+        # MAX_COMPOSITIONS, so only the entries cap stops them.
+        with pytest.raises(ResourceCapError, match="10004569 counts"):
+            enumerate_compositions(3163, 1)
+
+    def test_deep_enumeration_does_not_recurse(self):
+        comps = enumerate_compositions(1500, 1)
+        assert len(comps) == 1500
+        assert comps[0].counts[0] == 1 and comps[-1].counts[-1] == 1
+
 
 class TestAmpState:
     def test_rejects_unnormalized_exact(self):
