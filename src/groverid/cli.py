@@ -9,6 +9,7 @@ diagnostics go to stderr.  Exit codes: 0 success / valid / feasible,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -195,7 +196,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then kept: parsing
+    reads it and never changes it."""
     parser = _Parser(
         prog="groverid",
         description="Exact parallel discrimination schemes for phase oracles.",

@@ -52,6 +52,10 @@ DEFAULT_COVER_CAP = 9
 #: Most search nodes one cover search may enter.
 MAX_COVER_NODES = 5 * 10**6
 
+#: Most (pair, candidate block) tests the cover search's set-up may make:
+#: C(n,2) * (C(n,2) + C(n,4) + n), which lets n <= 20 through.
+MAX_COVER_SETUP = 10**6
+
 
 @dataclass(frozen=True)
 class CoverInstance:
@@ -98,8 +102,10 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
     incumbent, always branches on the uncovered pair {a, b} that comes
     first in a static order (fewest covering candidates first), and
     prunes on ceil(uncovered / max coverage).  Failed subproblems are
-    memoized by their uncovered-pair set.  Entering more than
-    ``MAX_COVER_NODES`` nodes raises ResourceCapError.
+    memoized by their uncovered-pair set.  The set-up lists the
+    candidates covering each pair; it raises ResourceCapError before
+    anything is built when that takes more than ``MAX_COVER_SETUP``
+    tests, and so does entering more than ``MAX_COVER_NODES`` nodes.
 
     Symmetry breaking.  The search carries ``touched``, the vertices of
     the blocks chosen so far; ``free`` is every vertex in neither
@@ -126,9 +132,14 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
         raise ValueError(f"cover search needs n >= 3, got {n}")
     if n > max_n:
         raise ResourceCapError(f"cover search capped at n <= {max_n}, got {n}")
+    npairs = n * (n - 1) // 2
+    setup = npairs * (npairs + math.comb(n, 4) + n)
+    if setup > MAX_COVER_SETUP:
+        raise ResourceCapError(
+            f"cover search set-up for n={n} takes {setup} tests, over the cap of {MAX_COVER_SETUP}"
+        )
 
     inst = CoverInstance.build(n)
-    npairs = n * (n - 1) // 2
     universe = (1 << npairs) - 1
     all_vertices = (1 << n) - 1
     cover_lists = [[c for c, m in enumerate(inst.masks) if m >> b & 1] for b in range(npairs)]

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .amplitude import SqrtRational
 from .discrimination import (
@@ -25,6 +25,9 @@ from .oracle import AmpState, Composition
 #: expanded state, a weight profile's compositions times t, or a product
 #: scheme's support entries summed over its blocks.
 MAX_TUPLES = 1_000_000
+
+#: Count parities 0 and 1 as the digits "0" and "1".
+_PARITY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class ProductScheme:
@@ -76,9 +79,10 @@ class WeightProfile:
                 raise ValueError(f"negative mass {q} on {comp.counts}")
             if q:
                 store[comp] = q
-        total = sum(store.values(), Fraction(0))
-        if total != 1:
-            raise ValueError(f"masses sum to {total}, expected exactly 1")
+        denominator, numerators = _over_common_denominator(store.values())
+        total = sum(numerators)
+        if total != denominator:
+            raise ValueError(f"masses sum to {Fraction(total, denominator)}, expected exactly 1")
         self.n = n
         self.t = t
         self.weights = store
@@ -158,20 +162,57 @@ def verify_product(s: ProductScheme) -> SchemeReport:
     return SchemeReport(valid=not failing, method="coverage-check", failing_pairs=failing)
 
 
+def _over_common_denominator(masses: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """The lcm D of the masses' denominators, and each mass times D."""
+    masses = list(masses)
+    denominator = math.lcm(*(q.denominator for q in masses))
+    return denominator, [q.numerator * (denominator // q.denominator) for q in masses]
+
+
 def verify_entangled(w: WeightProfile) -> SchemeReport:
     """Exact parity-mass check: for every pair, the mass on odd-parity
-    compositions must equal exactly 1/2.  Bit i of a composition's mask
-    is set when its count on index i is odd, so pair (i, j) has odd
-    parity (``tau_parity``) exactly when bits i and j differ."""
-    odd = [
-        (sum(1 << i for i, c in enumerate(comp.counts, start=1) if c % 2), q)
-        for comp, q in w.weights.items()
-    ]
+    compositions must equal exactly 1/2.
+
+    Pair (i, j) has odd parity in a composition (``tau_parity``) exactly
+    when one of its counts on i and j is odd and the other even.  With D
+    the lcm of the mass denominators, every mass is a/D for an integer a,
+    and the compositions fall into classes of equal a.  A class keeps one
+    column per index: an int whose bit c is set when the class's c-th
+    composition has an odd count there.  So the pair's odd-parity mass
+    is total/D with
+
+        total = sum over classes of a * popcount(col_a[i] ^ col_a[j]),
+
+    an identity between integers that loses nothing.  The pair is valid
+    exactly when 2 * total == D, and its defect mass - 1/2 is
+    (2 * total - D) / (2 * D).  Failing pairs come in ``all_pairs`` order.
+    The pair cap is checked before any column is built.
+    """
+    n = w.n
+    pair_count(n)
+    denominator, numerators = _over_common_denominator(w.weights.values())
+    classes: dict[int, list[bytes]] = {}
+    for comp, a in zip(w.weights, numerators):
+        classes.setdefault(a, []).append(bytes(map((1).__and__, comp.counts)))
+    columns = []
+    for a, rows in classes.items():
+        # Byte i of every row, last row first, spells column i in binary.
+        parity = b"".join(reversed(rows)).translate(_PARITY_DIGITS)
+        columns.append((a, [int(parity[i::n], 2) for i in range(n)]))
+    # The total of a valid pair; an odd D leaves no pair valid.
+    half = denominator // 2 if denominator % 2 == 0 else -1
     failing = []
-    for i, j in all_pairs(w.n):
-        mass = sum((q for m, q in odd if (m >> i ^ m >> j) & 1), Fraction(0))
-        if mass != Fraction(1, 2):
-            failing.append(PairDefect((i, j), mass - Fraction(1, 2)))
+    for i in range(n - 1):
+        totals = [0] * (n - 1 - i)
+        for a, col in columns:
+            ci = col[i]
+            totals = [acc + a * (ci ^ cj).bit_count() for acc, cj in zip(totals, col[i + 1:])]
+        if totals.count(half) == len(totals):
+            continue
+        for j, total in enumerate(totals, start=i + 2):
+            if 2 * total != denominator:
+                defect = Fraction(2 * total - denominator, 2 * denominator)
+                failing.append(PairDefect((i + 1, j), defect))
     return SchemeReport(valid=not failing, method="parity-mass", failing_pairs=tuple(failing))
 
 

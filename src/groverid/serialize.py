@@ -13,9 +13,9 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .discrimination import CanonicalBlock, DiscriminationGraph, SingleCopyState
-from .exceptions import SchemaError
-from .oracle import Composition
+from .discrimination import CanonicalBlock, DiscriminationGraph, SingleCopyState, pair_count
+from .exceptions import ResourceCapError, SchemaError
+from .oracle import MAX_COMPOSITION_ENTRIES, Composition
 from .schemes import ProductScheme, Scheme, SchemeReport, WeightProfile
 
 
@@ -117,11 +117,21 @@ def _product_from_doc(doc: dict) -> ProductScheme:
 
 
 def _entangled_from_doc(doc: dict) -> WeightProfile:
+    """Parse a weight profile.  The pair cap and the cap on the counts the
+    compositions hold together are checked from n and the entry count
+    before any composition is built."""
     n = _require_int(doc.get("n"), "n")
     t = _require_int(doc.get("t"), "t")
     raw_weights = doc.get("weights")
     if not isinstance(raw_weights, list) or not raw_weights:
         raise SchemaError("entangled scheme needs a nonempty 'weights' list")
+    if n > 0:  # any other n fails the length check of every composition
+        pair_count(n)
+    if len(raw_weights) * n > MAX_COMPOSITION_ENTRIES:
+        raise ResourceCapError(
+            f"{len(raw_weights)} compositions for n={n} hold {len(raw_weights) * n} counts, "
+            f"over the cap of {MAX_COMPOSITION_ENTRIES}"
+        )
     weights: dict[Composition, Fraction] = {}
     for entry in raw_weights:
         if not isinstance(entry, dict):

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groverid import serialize
 from groverid.cli import main
+from groverid.schemes import builtin
+from groverid.serialize import scheme_to_doc
+
+from bent import bent_witness
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +78,36 @@ def test_argument_errors_print_one_usage_document(capsys, argv):
     assert code == 2
     assert json.loads(out)["error"] == "usage"
     assert "usage:" in err
+
+
+def captured_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize(
+    "bad, good",
+    [
+        (("search", "--n", "5", "--mode", "product", "--max-n", "x"),
+         ("search", "--n", "5", "--mode", "entangled")),
+        (("search", "--n", "6", "--mode", "product", "--t-max", "3", "--frob"),
+         ("search", "--n", "6", "--mode", "product")),
+        (("build", "--n", "6", "--entangled", "--t"), ("build", "--n", "6", "--entangled")),
+        (("graph", "--block", "pair 1 2", "--state", "x.json", "--n", "4"),
+         ("graph", "--block", "pair 1 2", "--n", "4")),
+        (("verify",), ("verify", "--scheme", "n6-entangled")),
+    ],
+    ids=["bad-int", "unknown-flag", "missing-value", "exclusive-group", "missing-scheme"],
+)
+def test_usage_error_leaves_no_state_behind(bad, good):
+    """The parser is built once per process; a request after a usage
+    error answers as it does on its own."""
+    alone = captured_main(good)
+    out, _, code = captured_main(bad)
+    assert code == 2 and json.loads(out)["error"] == "usage"
+    assert captured_main(good) == alone
 
 
 class TestBuildAndVerify:
@@ -270,6 +307,18 @@ class TestSearch:
         assert code == 2
         assert payload["error"] == "resource-cap"
         assert "nodes" in payload["detail"]
+
+    def test_product_set_up_over_its_cap_exits_2(self, capsys):
+        """A raised --max-n no longer builds all C(40,4) quads and the
+        cover lists before the node budget applies."""
+        start = time.perf_counter()
+        code, payload, _ = run_cli(
+            capsys, "search", "--n", "40", "--mode", "product", "--max-n", "40"
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert payload["error"] == "resource-cap"
+        assert "set-up" in payload["detail"]
 
     def test_deterministic_bytes(self, capsys):
         outputs = []
@@ -659,6 +708,42 @@ class TestCapsBeforeWork:
         assert code == 0
         assert len(payload["blocks"]) == 2982  # 2*floor(n/3) + n mod 3
         check_over_cap(capsys, "build", "--n", "4473")
+
+
+class TestProfileReadCap:
+    """A weight profile file is refused before any composition is built
+    when its pairs or its counts are over their caps."""
+
+    def test_n5000_is_over_the_pair_cap(self, capsys, tmp_path):
+        doc = {"kind": "entangled", "n": 5000, "t": 1,
+               "weights": [{"composition": [1] + [0] * 4999, "q": "1"}]}
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        check_over_cap(capsys, "verify", "--scheme", str(path))
+        check_over_cap(capsys, "identify", "--n", "5000", "--hidden", "1", "--scheme", str(path))
+
+    def test_entries_cap_boundary(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "n6.json"
+        path.write_text(json.dumps(scheme_to_doc(builtin("n6-entangled"))))
+        monkeypatch.setattr(serialize, "MAX_COMPOSITION_ENTRIES", 16 * 6)
+        code, payload, _ = run_cli(capsys, "verify", "--scheme", str(path))
+        assert code == 0 and payload["valid"] is True
+        monkeypatch.setattr(serialize, "MAX_COMPOSITION_ENTRIES", 16 * 6 - 1)
+        check_over_cap(capsys, "verify", "--scheme", str(path))
+
+
+def test_cold_verify_of_the_n1024_bent_witness(tmp_path):
+    path = tmp_path / "bent1024.json"
+    path.write_text(json.dumps(scheme_to_doc(bent_witness(1024))))
+    path_env = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "groverid", "verify", "--scheme", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path_env),
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"valid": True, "method": "parity-mass", "failing_pairs": []}
 
 
 class TestEntryPoint:

@@ -140,6 +140,15 @@ class TestSymmetryBrokenCover:
         with pytest.raises(ResourceCapError, match=f"over {nodes - 1} nodes"):
             min_product_cover(9)
 
+    def test_set_up_cap_is_checked_before_the_instance_is_built(self, monkeypatch):
+        setup = 36 * (36 + 126 + 9)  # n = 9: pairs times pair, quad and star candidates
+        monkeypatch.setattr(optimizer, "MAX_COVER_SETUP", setup)
+        assert min_product_cover(9).t == 5
+        monkeypatch.setattr(optimizer, "MAX_COVER_SETUP", setup - 1)
+        monkeypatch.setattr(CoverInstance, "build", None)
+        with pytest.raises(ResourceCapError, match=f"takes {setup} tests"):
+            min_product_cover(9)
+
 
 class TestMinProductCover:
     def test_n4_single_quad(self):

@@ -1,14 +1,19 @@
 """Tests for scheme construction, verification, and bounds."""
 
+import functools
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groverid import discrimination
 from groverid.discrimination import CanonicalBlock, all_pairs
 from groverid.exceptions import IndistinguishableError, ResourceCapError
+from groverid.optimizer import entangled_feasible
 from groverid.oracle import (
     Composition,
     GroverOracle,
@@ -28,6 +33,8 @@ from groverid.schemes import (
     verify_entangled,
     verify_product,
 )
+
+from bent import bent_witness
 
 
 def pairwise_outputs_orthogonal(state, n):
@@ -206,6 +213,118 @@ class TestVerifyEntangled:
                 expected.append(((i, j), mass - Fraction(1, 2)))
         report = verify_entangled(profile)
         assert [(d.pair, d.defect) for d in report.failing_pairs] == expected
+
+
+def fraction_sum_defects(w):
+    """The parity-mass check as one Fraction addition per (pair,
+    composition): bit i of a composition's mask is set when its count on
+    index i is odd, and a pair's odd-parity mass sums the compositions
+    whose bits i and j differ."""
+    odd = [
+        (sum(1 << i for i, c in enumerate(comp.counts, start=1) if c % 2), q)
+        for comp, q in w.weights.items()
+    ]
+    failing = []
+    for i, j in all_pairs(w.n):
+        mass = sum((q for m, q in odd if (m >> i ^ m >> j) & 1), Fraction(0))
+        if mass != Fraction(1, 2):
+            failing.append(((i, j), mass - Fraction(1, 2)))
+    return failing
+
+
+@functools.cache
+def small_witness(n, t):
+    return entangled_feasible(n, t).witness
+
+
+#: (n, t) whose witness has at most 20 compositions, so two mixed
+#: relabellings stay within 40.
+SMALL_WITNESSES = [(3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2)]
+
+
+@st.composite
+def profiles(draw):
+    """Random profiles (mixed or all-distinct masses, n <= 9, up to 40
+    compositions), and mixtures of relabelled witnesses, valid as drawn
+    and sometimes perturbed."""
+    kind = draw(st.sampled_from(["mixed", "distinct", "witness"]))
+    if kind == "witness":
+        n, t = draw(st.sampled_from(SMALL_WITNESSES))
+        lambdas = [Fraction(draw(st.integers(1, 9))) for _ in range(draw(st.integers(1, 2)))]
+        weights = {}
+        for lam in lambdas:
+            perm = draw(st.permutations(range(n)))
+            for comp, q in small_witness(n, t).weights.items():
+                key = Composition(tuple(comp.counts[p] for p in perm))
+                weights[key] = weights.get(key, 0) + q * lam / sum(lambdas)
+        if len(weights) > 1 and draw(st.booleans()):
+            a, b = draw(st.lists(st.sampled_from(sorted(weights, key=lambda c: c.counts)),
+                                 min_size=2, max_size=2, unique=True))
+            shift = weights[a] * Fraction(1, draw(st.integers(2, 7)))
+            weights[a] -= shift
+            weights[b] += shift
+        return WeightProfile(n, t, weights)
+    n = draw(st.integers(1, 9))
+    t = draw(st.integers(1, 4))
+    support = draw(st.lists(
+        st.sampled_from(enumerate_compositions(n, t)), min_size=1, max_size=40, unique=True
+    ))
+    if kind == "mixed":
+        raw = [Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9))) for _ in support]
+        return WeightProfile(n, t, {c: q / sum(raw) for c, q in zip(support, raw)})
+    dens = draw(st.lists(st.integers(len(support) + 1, 1000),
+                         min_size=len(support) - 1, max_size=len(support) - 1, unique=True))
+    masses = [Fraction(1, d) for d in dens]
+    masses.append(1 - sum(masses))
+    return WeightProfile(n, t, dict(zip(support, masses)))
+
+
+class TestParityColumns:
+    """verify_entangled sums integer masses over parity columns; these
+    tests hold it to the per-pair Fraction sum and to bent witnesses."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(profiles())
+    def test_matches_the_fraction_sum(self, profile):
+        report = verify_entangled(profile)
+        expected = fraction_sum_defects(profile)
+        assert [(d.pair, d.defect) for d in report.failing_pairs] == expected
+        assert report.valid == (not expected)
+        assert report.method == "parity-mass"
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_bent_witnesses_are_valid(self, n):
+        profile = bent_witness(n)
+        assert profile.t == general_lower_bound(n)
+        assert len(profile.weights) == n
+        assert verify_entangled(profile).valid
+
+    def test_bent_n16_against_tau_parity_sums(self):
+        profile = bent_witness(16)
+        for i, j in all_pairs(16):
+            mass = sum(q for c, q in profile.weights.items() if tau_parity(c, i, j))
+            assert mass == Fraction(1, 2)
+
+    def test_bent_n256_in_under_a_second(self):
+        profile = bent_witness(256)
+        start = time.perf_counter()
+        report = verify_entangled(profile)
+        assert time.perf_counter() - start < 1
+        assert report.valid
+
+    def test_masses_summing_to_three_quarters_raise(self):
+        weights = {
+            Composition((1, 0, 0)): Fraction(1, 4),
+            Composition((0, 1, 0)): Fraction(1, 3),
+            Composition((0, 0, 1)): Fraction(1, 6),
+        }
+        with pytest.raises(ValueError, match=re.escape("masses sum to 3/4, expected exactly 1")):
+            WeightProfile(3, 1, weights)
+
+    def test_pair_cap_is_checked_first(self, monkeypatch):
+        monkeypatch.setattr(discrimination, "MAX_PAIRS", 14)
+        with pytest.raises(ResourceCapError):
+            verify_entangled(builtin("n6-entangled"))
 
 
 class TestExpandToState:
