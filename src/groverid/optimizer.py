@@ -10,7 +10,9 @@ relabelling of a partial cover (orbital branching: Ostrowski, Linderoth,
 Rossi & Smriglio, Math. Program. 126, 2011).  The vertices no chosen
 block holds and the branch pair does not hold are interchangeable, so a
 block may bring in only the lowest of them; ``min_product_cover`` gives
-the rule and its proof.
+the rule and its proof.  It ends as soon as it holds a cover of
+``product_lower_bound(n)`` blocks, a floor proven from the coverage
+rules alone.
 
 The entangled LP is solved in its symmetry-reduced form.  Its pair
 constraints (odd-parity mass 1/2 on every pair) are permuted among
@@ -94,6 +96,47 @@ class FeasibilityResult:
     stats: LpStats
 
 
+def product_lower_bound(n: int) -> int:
+    """Lower bound on the blocks of any canonical-block cover of the
+    complete graph on n: 2 at n = 3, 1 at n = 4, and ceil((2n - 5) / 3)
+    for n >= 5.  The exact search meets it for n = 3..15.
+
+    The proof uses only the coverage rules of ``block_graph``: a pair
+    block {i, j} covers the edges with exactly one end in {i, j}, a quad
+    the six edges inside it, and a star the edges at its centre (all of
+    K4 at n = 4).  At n = 3 every block covers two of the three edges.
+
+    For n >= 5 take a cover with p pair blocks, q quads and s stars.
+
+    - Signature lemma.  The pair blocks cover uv exactly when u and v
+      lie in different sets of pair blocks.  Two vertices with the same
+      nonempty set share every block of it, so they are an isolated-edge
+      component of the pair-block multigraph H.  So the edges the pair
+      blocks leave are those inside Z, the z vertices in no pair block,
+      and the a isolated edges of H.
+    - Pair blocks.  A component of H with k vertices holds at least
+      k - 1 distinct blocks.  With b components of three or more
+      vertices, 2a + 3b <= n - z, so p >= (n - z) - a - b, which gives
+      p >= (2(n - z) - a) / 3.
+    - Quads and stars.  Let m count the vertices of Z that are no star's
+      centre, so s >= z - m.  Give each edge among those m vertices
+      weight 1/6 and each isolated edge of H weight 1/2; all of them
+      must be covered by quads and stars.  A quad carries weight at most
+      1: six light edges, two isolated edges, or one isolated edge and
+      one light edge.  A star centred in Z carries none, and any other
+      star at most 1/2, as the isolated edges form a matching.  So
+      q + s >= (z - m) + C(m, 2)/6 + a/2.
+    - Adding the two bounds,
+      t >= (2n - 5)/3 + (m - 4)(m - 5)/12 + (z - m)/3 + a/6,
+      and every term after the first is >= 0 for integers m, z, a.
+    """
+    if n < 3:
+        raise ValueError(f"product lower bound needs n >= 3, got {n}")
+    if n == 3:
+        return 2
+    return (2 * n - 3) // 3
+
+
 def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
     """Exact minimum number of canonical blocks covering the complete
     graph on n, with a deterministic witness.
@@ -106,6 +149,13 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
     candidates covering each pair; it raises ResourceCapError before
     anything is built when that takes more than ``MAX_COVER_SETUP``
     tests, and so does entering more than ``MAX_COVER_NODES`` nodes.
+
+    The search ends as soon as its incumbent meets
+    ``product_lower_bound(n)``, and does not start when the construction
+    already does (n = 3; ``nodes_explored`` is then 0).  A later cover
+    of the same size never replaces the incumbent, so this returns the
+    same witness as the search run to its end; only ``nodes_explored``
+    falls.
 
     Symmetry breaking.  The search carries ``touched``, the vertices of
     the blocks chosen so far; ``free`` is every vertex in neither
@@ -139,10 +189,21 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
             f"cover search set-up for n={n} takes {setup} tests, over the cap of {MAX_COVER_SETUP}"
         )
 
+    best_blocks = list(construct_product_scheme(n).blocks)
+    best_t = len(best_blocks)
+    floor = product_lower_bound(n)
+    if best_t == floor:
+        return CoverSolution(t=best_t, blocks=tuple(best_blocks), nodes_explored=0)
+
     inst = CoverInstance.build(n)
     universe = (1 << npairs) - 1
     all_vertices = (1 << n) - 1
-    cover_lists = [[c for c, m in enumerate(inst.masks) if m >> b & 1] for b in range(npairs)]
+    cover_lists: list[list[int]] = [[] for _ in range(npairs)]
+    for c, m in enumerate(inst.masks):
+        while m:
+            low = m & -m
+            cover_lists[low.bit_length() - 1].append(c)
+            m ^= low
     # Vertex bit v-1 stands for index v.
     vertex_masks = [sum(1 << (v - 1) for v in b.indices) for b in inst.candidates]
     pair_vertices = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in all_pairs(n)]
@@ -150,8 +211,6 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
     pair_order = sorted(range(npairs), key=lambda b: (len(cover_lists[b]), b))
     max_cover = max(6, 2 * (n - 2), n - 1)
 
-    best_blocks = list(construct_product_scheme(n).blocks)
-    best_t = len(best_blocks)
     nodes = 0
     failed: dict[int, int] = {}
     chosen: list[int] = []
@@ -183,6 +242,8 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
             chosen.append(c)
             dfs(uncovered & ~inst.masks[c], touched | vertex_masks[c])
             chosen.pop()
+            if best_t == floor:
+                return
         if best_t == entry_best and failed.get(uncovered, -1) < budget:
             failed[uncovered] = budget
 

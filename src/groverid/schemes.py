@@ -15,9 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .amplitude import SqrtRational
-from .discrimination import (
-    CanonicalBlock, all_pairs, block_graph, block_state, pair_count, uncovered,
-)
+from .discrimination import CanonicalBlock, all_pairs, block_state, pair_count
 from .exceptions import IndistinguishableError, ResourceCapError
 from .oracle import AmpState, Composition
 
@@ -155,10 +153,47 @@ def construction_size(n: int) -> int:
 
 
 def verify_product(s: ProductScheme) -> SchemeReport:
-    """Coverage check: the OR of the blocks' graph masks must be the
-    complete graph; the pairs it leaves out fail, in all_pairs order."""
-    gaps = uncovered((block_graph(b) for b in s.blocks), s.n)
-    failing = tuple(PairDefect(p, None) for p in gaps)
+    """Coverage check: the blocks' graphs (``block_graph``) must cover the
+    complete graph; the pairs they leave out fail, in all_pairs order.
+
+    No graph is built.  A pair block {i, j} covers uv exactly when it
+    holds exactly one of u and v, so the pair blocks cover uv exactly
+    when u and v differ in their signature, the set of pair blocks
+    holding them.  A star covers every pair at its centre (any star
+    covers K4 at n = 4), and a quad the pairs inside it.  So the
+    vertices that are no star's centre fall into signature classes, and
+    a pair fails exactly when both its ends lie in one class and no quad
+    holds both.  That costs O(n + sum of block sizes) plus the
+    same-class pairs and one merge of their sorted runs.  The pair cap
+    is checked first.
+    """
+    n = s.n
+    pair_count(n)
+    signatures: list[list[int]] = [[] for _ in range(n + 1)]
+    centres = set()
+    in_quad = set()
+    for k, b in enumerate(s.blocks):
+        if b.kind == "pair":
+            for v in b.indices:
+                signatures[v].append(k)
+        elif b.kind == "star":
+            centres.add(b.indices[0])
+        else:
+            in_quad.update(itertools.combinations(b.indices, 2))
+    if n == 4 and centres:
+        centres = set(range(1, 5))  # any star covers K4
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v in range(1, n + 1):
+        if v not in centres:
+            classes.setdefault(tuple(signatures[v]), []).append(v)
+    # Each class yields its pairs in order, so the sort merges sorted runs.
+    gaps = sorted(
+        pair
+        for members in classes.values()
+        for pair in itertools.combinations(members, 2)
+        if pair not in in_quad
+    )
+    failing = tuple(PairDefect(pair, None) for pair in gaps)
     return SchemeReport(valid=not failing, method="coverage-check", failing_pairs=failing)
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from groverid import serialize
 from groverid.cli import main
-from groverid.schemes import builtin
+from groverid.schemes import builtin, construct_product_scheme
 from groverid.serialize import scheme_to_doc
 
 from bent import bent_witness
@@ -120,6 +121,19 @@ class TestBuildAndVerify:
             code, report, _ = run_cli(capsys, "verify", "--scheme", str(path))
             assert code == 0
             assert report["valid"] is True
+
+    def test_one_pair_block_at_n300(self, capsys, tmp_path):
+        """The pair block covers only the pairs with one end in it: the
+        other 298 vertices and the block's own pair fail."""
+        doc = {"kind": "product", "n": 300, "blocks": [{"type": "pair", "i": 7, "j": 250}]}
+        path = tmp_path / "one-pair.json"
+        path.write_text(json.dumps(doc))
+        code, report, _ = run_cli(capsys, "verify", "--scheme", str(path))
+        assert code == 1
+        assert report["valid"] is False
+        assert len(report["failing_pairs"]) == math.comb(298, 2) + 1
+        assert [7, 250] in report["failing_pairs"]
+        assert report["failing_pairs"] == sorted(report["failing_pairs"])
 
     def test_round_trip_entangled(self, capsys, tmp_path):
         for n, t in [(5, 2), (6, 2)]:
@@ -298,10 +312,23 @@ class TestSearch:
         assert payload["min_t"] == 7
         assert len(payload["witness"]["blocks"]) == 7
 
-    def test_product_n14_over_the_node_budget_exits_2(self, capsys):
+    @pytest.mark.parametrize("n,t", [(14, 8), (15, 9)])
+    def test_product_n14_n15_stop_at_the_floor(self, capsys, tmp_path, n, t):
+        code, payload, _ = run_cli(
+            capsys, "search", "--n", str(n), "--mode", "product", "--max-n", "15"
+        )
+        assert code == 0
+        assert payload["min_t"] == t
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(payload["witness"]))
+        code, report, _ = run_cli(capsys, "verify", "--scheme", str(path))
+        assert code == 0
+        assert report["valid"] is True
+
+    def test_product_n16_over_the_node_budget_exits_2(self, capsys):
         start = time.perf_counter()
         code, payload, _ = run_cli(
-            capsys, "search", "--n", "14", "--mode", "product", "--max-n", "14"
+            capsys, "search", "--n", "16", "--mode", "product", "--max-n", "16"
         )
         assert time.perf_counter() - start < 15
         assert code == 2
@@ -732,18 +759,34 @@ class TestProfileReadCap:
         check_over_cap(capsys, "verify", "--scheme", str(path))
 
 
-def test_cold_verify_of_the_n1024_bent_witness(tmp_path):
-    path = tmp_path / "bent1024.json"
-    path.write_text(json.dumps(scheme_to_doc(bent_witness(1024))))
+def cold_verify(path):
+    """A whole ``python -m groverid verify`` run on a file: its seconds
+    and its process."""
     path_env = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "groverid", "verify", "--scheme", str(path)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path_env),
     )
-    assert time.perf_counter() - start < 5
+    return time.perf_counter() - start, proc
+
+
+def test_cold_verify_of_the_n1024_bent_witness(tmp_path):
+    path = tmp_path / "bent1024.json"
+    path.write_text(json.dumps(scheme_to_doc(bent_witness(1024))))
+    seconds, proc = cold_verify(path)
+    assert seconds < 5
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"valid": True, "method": "parity-mass", "failing_pairs": []}
+
+
+def test_cold_verify_of_the_n4472_construction(tmp_path):
+    path = tmp_path / "construction4472.json"
+    path.write_text(json.dumps(scheme_to_doc(construct_product_scheme(4472))))
+    seconds, proc = cold_verify(path)
+    assert seconds < 0.5
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"valid": True, "method": "coverage-check", "failing_pairs": []}
 
 
 class TestEntryPoint:

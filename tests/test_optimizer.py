@@ -5,9 +5,12 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverid import optimizer
 from groverid.discrimination import (
+    CanonicalBlock,
     DiscriminationGraph,
     all_pairs,
     block_graph,
@@ -23,6 +26,7 @@ from groverid.optimizer import (
     entangled_scan,
     min_entangled_t,
     min_product_cover,
+    product_lower_bound,
 )
 from groverid.oracle import GroverOracle, enumerate_compositions, tau_parity
 from groverid.schemes import (
@@ -35,6 +39,8 @@ from groverid.schemes import (
     verify_product,
 )
 from groverid.simplex import phase1_feasible
+
+from product_schemes import mask_failing_pairs, product_schemes
 
 #: Every (n, t) the dense composition LP decides quickly enough to compare.
 SMALL_CASES = [(n, t) for n in range(2, 8) for t in range(1, 5)] + [(2, 5), (2, 6)]
@@ -125,12 +131,29 @@ class TestSymmetryBrokenCover:
 
     def test_exact_minima_n11_to_n13(self):
         start = time.perf_counter()
-        # The minima meet ceil((2n - 5) / 3), conjectured for every n >= 4.
+        # The minima meet ceil((2n - 5) / 3), which product_lower_bound
+        # proves is a floor for every n >= 5.
         for n, t in ((11, 6), (12, 7), (13, 7)):
             sol = min_product_cover(n, max_n=13)
-            assert sol.t == t == -(-(2 * n - 5) // 3)
+            assert sol.t == t == -(-(2 * n - 5) // 3) == product_lower_bound(n)
             assert verify_product(ProductScheme(n, sol.blocks)).valid
         assert time.perf_counter() - start < 30
+
+    def test_floor_changes_only_the_node_count(self, monkeypatch):
+        """With a floor of 1 the search never stops early, so it proves
+        each minimum by itself; it must find the same cover."""
+        floored = {n: min_product_cover(n, max_n=13) for n in range(3, 14)}
+        monkeypatch.setattr(optimizer, "product_lower_bound", lambda n: 1)
+        for n, sol in floored.items():
+            full = min_product_cover(n, max_n=13)
+            assert (full.t, full.blocks) == (sol.t, sol.blocks), n
+            assert sol.nodes_explored <= full.nodes_explored
+
+    def test_no_search_when_the_construction_meets_the_floor(self, monkeypatch):
+        monkeypatch.setattr(CoverInstance, "build", None)
+        sol = min_product_cover(3)
+        assert (sol.t, sol.nodes_explored) == (2, 0)
+        assert sol.blocks == construct_product_scheme(3).blocks
 
     def test_node_budget_is_checked_as_each_node_is_entered(self, monkeypatch):
         nodes = min_product_cover(9).nodes_explored
@@ -148,6 +171,29 @@ class TestSymmetryBrokenCover:
         monkeypatch.setattr(CoverInstance, "build", None)
         with pytest.raises(ResourceCapError, match=f"takes {setup} tests"):
             min_product_cover(9)
+
+
+class TestProductLowerBound:
+    def test_values(self):
+        assert [product_lower_bound(n) for n in range(3, 17)] == [
+            2, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7, 8, 9, 9,
+        ]
+        with pytest.raises(ValueError):
+            product_lower_bound(2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scheme=product_schemes(), data=st.data())
+    def test_random_covers_hold_the_floor(self, scheme, data):
+        """Random blocks, completed to a cover by a star at one end of
+        each pair they leave uncovered, never number below the floor."""
+        n, blocks = scheme.n, list(scheme.blocks)
+        centres = set()
+        for pair in mask_failing_pairs(n, blocks):
+            if not centres.intersection(pair):
+                centres.add(data.draw(st.sampled_from(pair)))
+        blocks += [CanonicalBlock.star(v, n) for v in sorted(centres)]
+        assert mask_failing_pairs(n, blocks) == ()
+        assert len(blocks) >= product_lower_bound(n)
 
 
 class TestMinProductCover:

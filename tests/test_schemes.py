@@ -35,6 +35,7 @@ from groverid.schemes import (
 )
 
 from bent import bent_witness
+from product_schemes import mask_failing_pairs, product_schemes
 
 
 def pairwise_outputs_orthogonal(state, n):
@@ -103,6 +104,23 @@ class TestVerifyProduct:
 
     def test_builtin_n5_valid(self):
         assert verify_product(builtin("n5-product")).valid
+
+    @settings(max_examples=300, deadline=None)
+    @given(scheme=product_schemes())
+    def test_signature_classes_agree_with_pair_masks(self, scheme):
+        report = verify_product(scheme)
+        assert report.method == "coverage-check"
+        assert all(d.defect is None for d in report.failing_pairs)
+        failing = tuple(d.pair for d in report.failing_pairs)
+        assert failing == mask_failing_pairs(scheme.n, scheme.blocks)
+
+    def test_construction_with_each_block_dropped_agrees_with_pair_masks(self):
+        for n in range(3, 41):
+            blocks = construct_product_scheme(n).blocks
+            for k in range(len(blocks)):
+                rest = blocks[:k] + blocks[k + 1:]
+                failing = tuple(d.pair for d in verify_product(ProductScheme(n, rest)).failing_pairs)
+                assert failing == mask_failing_pairs(n, rest), (n, k)
 
     def test_raw_state_blocks(self):
         # product schemes take canonical blocks only
