@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -147,17 +148,19 @@ class CanonicalBlock:
     _MIN_N = {"quad": 4, "pair": 2, "star": 3}
 
     def __post_init__(self):
-        if self.kind not in self._SIZES:
-            raise ValueError(f"unknown block kind {self.kind!r}")
-        if self.n < self._MIN_N[self.kind]:
-            raise ValueError(f"{self.kind} block needs n >= {self._MIN_N[self.kind]}")
-        if len(self.indices) != self._SIZES[self.kind]:
-            raise ValueError(f"{self.kind} block needs {self._SIZES[self.kind]} indices")
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError(f"block indices must be distinct: {self.indices}")
-        if any(not 1 <= i <= self.n for i in self.indices):
-            raise ValueError(f"block indices {self.indices} out of range 1..{self.n}")
-        if self.indices != tuple(sorted(self.indices)):
+        kind, indices, n = self.kind, self.indices, self.n
+        size = self._SIZES.get(kind)
+        if size is None:
+            raise ValueError(f"unknown block kind {kind!r}")
+        if n < self._MIN_N[kind]:
+            raise ValueError(f"{kind} block needs n >= {self._MIN_N[kind]}")
+        if len(indices) != size:
+            raise ValueError(f"{kind} block needs {size} indices")
+        if len(set(indices)) != size:
+            raise ValueError(f"block indices must be distinct: {indices}")
+        if min(indices) < 1 or max(indices) > n:
+            raise ValueError(f"block indices {indices} out of range 1..{n}")
+        if not all(map(operator.lt, indices, indices[1:])):  # distinct, so ascending
             raise ValueError("block indices must be sorted ascending")
 
     @classmethod

@@ -49,7 +49,7 @@ class Composition:
     def __post_init__(self):
         if not self.counts:
             raise ValueError("composition needs at least one slot")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ValueError(f"counts must be nonnegative: {self.counts}")
 
     @property

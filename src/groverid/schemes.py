@@ -68,13 +68,15 @@ class WeightProfile:
             raise ValueError("need n >= 1 and t >= 1")
         store: dict[Composition, Fraction] = {}
         for comp, q in weights.items():
-            q = Fraction(q)
-            if comp.n != n:
-                raise ValueError(f"composition {comp.counts} has {comp.n} slots, expected {n}")
-            if comp.t != t:
-                raise ValueError(f"composition {comp.counts} sums to {comp.t}, expected {t}")
-            if q < 0:
-                raise ValueError(f"negative mass {q} on {comp.counts}")
+            if type(q) is not Fraction:
+                q = Fraction(q)
+            counts = comp.counts
+            if len(counts) != n:
+                raise ValueError(f"composition {counts} has {len(counts)} slots, expected {n}")
+            if sum(counts) != t:
+                raise ValueError(f"composition {counts} sums to {sum(counts)}, expected {t}")
+            if q.numerator < 0:
+                raise ValueError(f"negative mass {q} on {counts}")
             if q:
                 store[comp] = q
         denominator, numerators = _over_common_denominator(store.values())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
 from .discrimination import CanonicalBlock, DiscriminationGraph, SingleCopyState, pair_count
@@ -35,6 +36,9 @@ def fraction_from_str(text: Any) -> Fraction:
         raise SchemaError(f"zero denominator in {text!r}") from None
     except ValueError as exc:  # past the int string-conversion digit limit
         raise SchemaError(f"unreadable rational: {exc}") from None
+
+
+_INT_TYPE = frozenset({int})
 
 
 def _require_int(value: Any, what: str) -> int:
@@ -133,21 +137,28 @@ def _entangled_from_doc(doc: dict) -> WeightProfile:
             f"over the cap of {MAX_COMPOSITION_ENTRIES}"
         )
     weights: dict[Composition, Fraction] = {}
+    masses: dict[str, Fraction] = {}  # each distinct 'q' string is parsed once
     for entry in raw_weights:
         if not isinstance(entry, dict):
             raise SchemaError(f"weight entry must be an object, got {entry!r}")
         counts = entry.get("composition")
         if not isinstance(counts, list) or len(counts) != n:
             raise SchemaError(f"composition must be a list of {n} counts, got {counts!r}")
-        counts = tuple(_require_int(c, "composition count") for c in counts)
-        q = fraction_from_str(entry.get("q"))
+        if set(map(type, counts)) - _INT_TYPE:  # name the first bad count
+            for c in counts:
+                _require_int(c, "composition count")
+        counts = tuple(counts)
+        text = entry.get("q")
+        q = masses.get(text) if type(text) is str else None
+        if q is None:
+            q = masses[text] = fraction_from_str(text)
         try:
             comp = Composition(counts)
         except ValueError as exc:
             raise SchemaError(f"bad composition {counts}: {exc}") from None
         if comp in weights:
             raise SchemaError(f"duplicate composition {list(counts)}")
-        if q < 0:
+        if q.numerator < 0:
             raise SchemaError(f"negative mass {fraction_to_str(q)} on {list(counts)}")
         weights[comp] = q
     try:
@@ -209,5 +220,44 @@ def state_from_doc(doc: Any) -> SingleCopyState:
 
 
 def dumps(doc: dict) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, newline at end."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, newline at end.
+
+    The same bytes as ``json.dumps(doc, indent=2, sort_keys=True)`` plus
+    a newline, for documents of dicts with str keys, lists, str, int,
+    bool and None.  The stdlib runs its pure-Python encoder whenever
+    ``indent`` is set, so the text is written here instead."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append the indented JSON text of value; newline is the line break
+    and indent that come before value's own closing bracket."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict and value:
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            out += (separator, _encode_str(key), ": ")
+            _write(item, inner, out)
+            separator = "," + inner
+        out += (newline, "}")
+    elif kind is list and value:
+        inner = newline + "  "
+        if set(map(type, value)) == _INT_TYPE:  # a row of counts, joined at C speed
+            out += ("[", inner, ("," + inner).join(map(int.__repr__, value)), newline, "]")
+            return
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write(item, inner, out)
+            separator = "," + inner
+        out += (newline, "]")
+    else:  # bool, None, a float, an empty list or dict
+        out.append(json.dumps(value))

@@ -237,6 +237,56 @@ def test_unreadable_file_exits_3(capsys, tmp_path, content, command):
     assert payload["error"] == "malformed-input"
 
 
+def _profile(n, t, *entries):
+    return {
+        "kind": "entangled",
+        "n": n,
+        "t": t,
+        "weights": [{"composition": counts, "q": q} for counts, q in entries],
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, detail",
+    [
+        (_profile(0, 1, ([], "1/1")),
+         "bad composition (): composition needs at least one slot"),
+        (_profile(2, 1, ([True, 0], "1/1")), "composition count must be an integer, got True"),
+        (_profile(2, 1, ([1.0, 0], "1/1")), "composition count must be an integer, got 1.0"),
+        (_profile(3, 2, ([1, 1.5, True], "1/1")),
+         "composition count must be an integer, got 1.5"),
+        (_profile(2, 1, ([2, -1], "1/1")),
+         "bad composition (2, -1): counts must be nonnegative: (2, -1)"),
+        (_profile(2, 1, ([1, 0], 1)), "expected a 'num/den' string, got 1"),
+        (_profile(2, 1, ([1, 0], "1/0")), "zero denominator in '1/0'"),
+        (_profile(2, 1, ([1, 0], "-1/2"), ([0, 1], "3/2")), "negative mass -1/2 on [1, 0]"),
+        (_profile(2, 1, ([1, 0], "1/x"), ([0, 1], "1/x")),
+         "expected a 'num/den' string, got '1/x'"),
+        (_profile(2, 1, ([2, -1], "1/x")), "expected a 'num/den' string, got '1/x'"),
+        (_profile(2, 1, ([True, 0], "1/x")), "composition count must be an integer, got True"),
+        (_profile(2, 1, ([1, 0], "1/2"), ([1, 0], "1/2")), "duplicate composition [1, 0]"),
+        (_profile(2, 2, ([1, 0], "1/1")), "composition (1, 0) sums to 1, expected 2"),
+        (_profile(2, 1, ([1, 0], "1/2"), ([0, 1], "1/3")),
+         "masses sum to 5/6, expected exactly 1"),
+    ],
+    ids=[
+        "n0-empty-composition", "bool-count", "float-count", "first-bad-count-named",
+        "negative-count", "non-string-mass", "zero-denominator", "negative-mass",
+        "bad-mass-twice", "mass-before-composition", "counts-before-mass",
+        "duplicate-composition", "wrong-count-sum", "masses-not-one",
+    ],
+)
+def test_malformed_profile_detail(capsys, tmp_path, doc, detail):
+    """Each malformed weight profile is malformed input (exit 3) with a
+    detail that names the first fault, in the order the entries are read."""
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    code, payload, err = run_cli(capsys, "verify", "--scheme", str(path))
+    assert code == 3
+    assert payload == {"error": "malformed-input", "detail": detail}
+    assert err == f"malformed input: {detail}\n"
+
+
 class TestSearch:
     def test_product_n6(self, capsys):
         code, payload, _ = run_cli(capsys, "search", "--n", "6", "--mode", "product")

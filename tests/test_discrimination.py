@@ -162,6 +162,28 @@ class TestBlockState:
         with pytest.raises(ValueError):
             CanonicalBlock.pair(1, 1, 5)
 
+    @pytest.mark.parametrize(
+        "kind, indices, n, message",
+        [
+            ("hex", (1, 2), 5, "unknown block kind 'hex'"),
+            ("quad", (1, 2, 3, 4), 3, "quad block needs n >= 4"),
+            ("pair", (1, 2, 3), 5, "pair block needs 2 indices"),
+            ("star", (), 5, "star block needs 1 indices"),
+            ("pair", (2, 2), 1, "pair block needs n >= 2"),
+            ("quad", (1, 2, 2, 9), 5, "block indices must be distinct: (1, 2, 2, 9)"),
+            ("quad", (0, 1, 2, 3), 5, "block indices (0, 1, 2, 3) out of range 1..5"),
+            ("pair", (6, 1), 5, "block indices (6, 1) out of range 1..5"),
+            ("quad", (1, 3, 2, 4), 5, "block indices must be sorted ascending"),
+            ("pair", (2, 1), 5, "block indices must be sorted ascending"),
+        ],
+    )
+    def test_checks_in_order(self, kind, indices, n, message):
+        """Each malformed block names the first check it fails, in the
+        order kind, room, index count, distinctness, range, order."""
+        with pytest.raises(ValueError) as info:
+            CanonicalBlock(kind, indices, n)
+        assert str(info.value) == message
+
 
 class TestBlockGraph:
     def test_edge_counts(self):

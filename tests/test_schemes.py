@@ -345,6 +345,32 @@ class TestParityColumns:
             verify_entangled(builtin("n6-entangled"))
 
 
+class TestWeightProfileChecks:
+    @pytest.mark.parametrize(
+        "n, t, weights, message",
+        [
+            (0, 1, {}, "need n >= 1 and t >= 1"),
+            (3, 1, {(1, 0): 1}, "composition (1, 0) has 2 slots, expected 3"),
+            (2, 2, {(1, 0): 1}, "composition (1, 0) sums to 1, expected 2"),
+            (2, 1, {(1, 0): Fraction(3, 2), (0, 1): Fraction(-1, 2)},
+             "negative mass -1/2 on (0, 1)"),
+            (2, 1, {(1, 0): Fraction(1, 2), (0, 1): 0}, "masses sum to 1/2, expected exactly 1"),
+        ],
+        ids=["n0", "slots", "count-sum", "negative-mass", "mass-sum"],
+    )
+    def test_each_check_names_its_fault(self, n, t, weights, message):
+        weights = {Composition(counts): q for counts, q in weights.items()}
+        with pytest.raises(ValueError) as info:
+            WeightProfile(n, t, weights)
+        assert str(info.value) == message
+
+    def test_masses_of_any_rational_type_are_kept_as_fractions(self):
+        a, b, c = Composition((1, 0, 0)), Composition((0, 1, 0)), Composition((0, 0, 1))
+        profile = WeightProfile(3, 1, {a: "1/2", b: 0.5, c: 0})
+        assert profile.weights == {a: Fraction(1, 2), b: Fraction(1, 2)}
+        assert {type(q) for q in profile.weights.values()} == {Fraction}
+
+
 class TestExpandToState:
     def test_two_pair_blocks_give_four_tuples(self):
         scheme = ProductScheme(

@@ -1,8 +1,11 @@
 """Tests for bit-exact JSON round-trips and schema validation."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverid.discrimination import CanonicalBlock, block_graph
 from groverid.exceptions import SchemaError
@@ -199,3 +202,32 @@ class TestStateDocs:
         for doc in bad_docs:
             with pytest.raises(SchemaError):
                 state_from_doc(doc)
+
+
+# Text that reaches every escape: quotes, backslashes, control and
+# non-ASCII characters, astral ones and a lone surrogate.
+_text = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\té€\U0001f600\ud800a'), max_size=6
+) | st.text(max_size=6)
+_leaves = (
+    _text
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | st.booleans()
+    | st.none()
+    | st.floats()
+    | st.lists(st.integers(), max_size=6)
+)
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestCanonicalWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(_text, _documents, max_size=5))
+    def test_same_bytes_as_the_stdlib_indent_encoder(self, doc):
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
