@@ -12,21 +12,32 @@ A product scheme runs one block at a time.  Its input is a tensor
 product of one-copy states and every oracle is diagonal, so each
 candidate overlap is a product over blocks of one-copy sums: the box
 gets each block's one-copy state as its own query, and no multi-copy
-state is built.  A weight profile runs on its expanded t-copy state.
-Both paths share one classification loop.
+state is built.  A weight profile's t queries run on its expanded t-copy
+state; its candidate overlaps then come from the integer parity columns
+that its verifier reads, one popcount per mass class, not from n
+candidate states.  The matched candidate's overlap is taken once more
+from its tensor state as a check.  Both paths share one classification
+loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .amplitude import SqrtRational
 from .discrimination import all_pairs, block_state, pair_count
 from .exceptions import AmbiguousClassificationError, ResourceCapError
 from .oracle import AmpState, GroverOracle, apply_oracle, apply_oracle_to_copy, overlap
-from .schemes import MAX_TUPLES, ProductScheme, Scheme, WeightProfile, expand_to_state
+from .schemes import (
+    MAX_TUPLES,
+    ProductScheme,
+    Scheme,
+    WeightProfile,
+    _parity_columns,
+    expand_to_state,
+)
 
 
 class OracleBlackBox:
@@ -80,7 +91,11 @@ def run_identification(
 
     calls_before = box.calls
     if isinstance(scheme, WeightProfile):
-        overlaps = _tensor_overlaps(scheme, box)
+        psi = expand_to_state(scheme)
+        out = psi
+        for copy in range(1, psi.t + 1):
+            out = box.apply(out, copy)
+        overlaps = _column_overlaps(scheme, out)
     else:
         overlaps = _product_overlaps(scheme, box)
     queries = box.calls - calls_before
@@ -100,26 +115,44 @@ def run_identification(
         raise AmbiguousClassificationError(
             f"{len(matches)} candidates matched the output, expected exactly 1"
         )
+    identified = matches[0]
+    if isinstance(scheme, WeightProfile):
+        exact = overlap(apply_oracle(GroverOracle(scheme.n, identified), psi), out)
+        if exact != overlaps[identified - 1]:
+            raise RuntimeError(
+                f"candidate {identified}: column overlap {overlaps[identified - 1]} "
+                f"!= tensor overlap {exact}"
+            )
     return IdentificationRun(
         n=scheme.n,
         scheme=scheme,
         hidden_queries_used=queries,
-        identified=matches[0],
+        identified=identified,
         per_candidate_overlaps=tuple(magnitudes),
     )
 
 
-def _tensor_overlaps(scheme: WeightProfile, box: OracleBlackBox) -> Iterable[Fraction]:
-    """Query every copy slot of the expanded state now; the candidate
-    overlaps follow lazily, so classification stops at the first bad one."""
-    psi = expand_to_state(scheme)
-    out = psi
-    for copy in range(1, psi.t + 1):
-        out = box.apply(out, copy)
-    return (
-        overlap(apply_oracle(GroverOracle(scheme.n, k), psi), out)
-        for k in range(1, scheme.n + 1)
-    )
+def _column_overlaps(scheme: WeightProfile, out: AmpState) -> list[Fraction]:
+    """The n candidate overlaps <O_k psi|out> of a weight profile.
+
+    psi puts sqrt(q_c) on one representative tuple per composition c, so
+    <O_k psi|out> = sum_c q_c (-1)^(c_k) s_c, with s_c the sign of out at
+    c's tuple.  In a mass class a (q_c = a/D, ``_parity_columns``) let bit
+    c of out_a be set when s_c is negative; then the class adds
+    a * (N_a - 2 * popcount(col_a[k] ^ out_a)) / D, N_a its size.  So
+    each value is exactly the tensor overlap, one popcount per class.
+    """
+    totals = [0] * scheme.n
+    for a, comps, cols in _parity_columns(scheme):
+        signs = "".join(
+            "1" if out.amps[comp.representative_tuple()].sign < 0 else "0"
+            for comp in reversed(comps)
+        )
+        out_a, size = int(signs, 2), len(comps)
+        totals = [
+            acc + a * (size - 2 * (col ^ out_a).bit_count()) for acc, col in zip(totals, cols)
+        ]
+    return [Fraction(total, scheme.denominator) for total in totals]
 
 
 def _product_overlaps(scheme: ProductScheme, box: OracleBlackBox) -> list[Fraction]:

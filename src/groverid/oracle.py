@@ -8,6 +8,7 @@ flip per occurrence of the target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -154,6 +155,12 @@ def enumerate_compositions(n: int, t: int) -> list[Composition]:
     return out
 
 
+def _over_common_denominator(masses: list[Fraction]) -> tuple[int, list[int]]:
+    """The lcm D of the masses' denominators, and each mass times D."""
+    denominator = math.lcm(*{q.denominator for q in masses})
+    return denominator, [q.numerator * (denominator // q.denominator) for q in masses]
+
+
 class AmpState:
     """Sparse exact t-copy state: a map from basis tuples to SqrtRational
     amplitudes.  Instances are immutable after construction and safe to
@@ -169,7 +176,8 @@ class AmpState:
             a = tuple(a)
             if len(a) != t:
                 raise ValueError(f"tuple {a} has length {len(a)}, expected t={t}")
-            validate_tuple(a, n)
+            if min(a) < 1 or max(a) > n:
+                validate_tuple(a, n)  # names the entry out of range
             if not isinstance(v, SqrtRational):
                 raise TypeError(f"amplitude of {a} must be a SqrtRational, got {type(v).__name__}")
             if not v.is_zero:
@@ -177,9 +185,12 @@ class AmpState:
         self.n = n
         self.t = t
         self.amps = store
-        norm = sum((v.mag2 for v in store.values()), Fraction(0))
-        if norm != 1:
-            raise ValueError(f"exact state has squared norm {norm}, expected 1")
+        denominator, numerators = _over_common_denominator([v.mag2 for v in store.values()])
+        norm = sum(numerators)
+        if norm != denominator:
+            raise ValueError(
+                f"exact state has squared norm {Fraction(norm, denominator)}, expected 1"
+            )
 
     def mag2(self, a: BasisTuple) -> Fraction:
         v = self.amps.get(tuple(a))

@@ -12,12 +12,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .amplitude import SqrtRational
 from .discrimination import CanonicalBlock, all_pairs, block_state, pair_count
 from .exceptions import IndistinguishableError, ResourceCapError
-from .oracle import AmpState, Composition
+from .oracle import AmpState, Composition, _over_common_denominator
 
 #: Cap on the entries identification reads: the tuple count of an
 #: expanded state, a weight profile's compositions times t, or a product
@@ -59,9 +59,13 @@ class ProductScheme:
 
 class WeightProfile:
     """Exact rational masses on compositions for a t-copy entangled
-    scheme; masses are nonnegative and sum to exactly 1."""
+    scheme; masses are nonnegative and sum to exactly 1.
 
-    __slots__ = ("n", "t", "weights")
+    ``denominator`` is D, the lcm of the mass denominators, and
+    ``numerators`` holds each mass times D, in ``weights`` order.
+    """
+
+    __slots__ = ("n", "t", "weights", "denominator", "numerators")
 
     def __init__(self, n: int, t: int, weights: Mapping[Composition, Fraction]):
         if n < 1 or t < 1:
@@ -79,13 +83,15 @@ class WeightProfile:
                 raise ValueError(f"negative mass {q} on {counts}")
             if q:
                 store[comp] = q
-        denominator, numerators = _over_common_denominator(store.values())
+        denominator, numerators = _over_common_denominator(list(store.values()))
         total = sum(numerators)
         if total != denominator:
             raise ValueError(f"masses sum to {Fraction(total, denominator)}, expected exactly 1")
         self.n = n
         self.t = t
         self.weights = store
+        self.denominator = denominator
+        self.numerators = tuple(numerators)
 
     def __repr__(self) -> str:
         return f"WeightProfile(n={self.n}, t={self.t}, {len(self.weights)} compositions)"
@@ -199,11 +205,22 @@ def verify_product(s: ProductScheme) -> SchemeReport:
     return SchemeReport(valid=not failing, method="coverage-check", failing_pairs=failing)
 
 
-def _over_common_denominator(masses: Iterable[Fraction]) -> tuple[int, list[int]]:
-    """The lcm D of the masses' denominators, and each mass times D."""
-    masses = list(masses)
-    denominator = math.lcm(*(q.denominator for q in masses))
-    return denominator, [q.numerator * (denominator // q.denominator) for q in masses]
+def _parity_columns(w: WeightProfile) -> list[tuple[int, list[Composition], list[int]]]:
+    """The profile's compositions grouped by integer mass a = q * D, in
+    ``weights`` order within each class, with the class's n parity
+    columns: bit c of column i is set when the class's c-th composition
+    has an odd count on index i."""
+    n = w.n
+    classes: dict[int, list[Composition]] = {}
+    for comp, a in zip(w.weights, w.numerators):
+        classes.setdefault(a, []).append(comp)
+    columns = []
+    for a, comps in classes.items():
+        # Byte i of every row, last row first, spells column i in binary.
+        rows = (bytes(map((1).__and__, comp.counts)) for comp in reversed(comps))
+        parity = b"".join(rows).translate(_PARITY_DIGITS)
+        columns.append((a, comps, [int(parity[i::n], 2) for i in range(n)]))
+    return columns
 
 
 def verify_entangled(w: WeightProfile) -> SchemeReport:
@@ -214,9 +231,9 @@ def verify_entangled(w: WeightProfile) -> SchemeReport:
     when one of its counts on i and j is odd and the other even.  With D
     the lcm of the mass denominators, every mass is a/D for an integer a,
     and the compositions fall into classes of equal a.  A class keeps one
-    column per index: an int whose bit c is set when the class's c-th
-    composition has an odd count there.  So the pair's odd-parity mass
-    is total/D with
+    column per index (``_parity_columns``): an int whose bit c is set
+    when the class's c-th composition has an odd count there.  So the
+    pair's odd-parity mass is total/D with
 
         total = sum over classes of a * popcount(col_a[i] ^ col_a[j]),
 
@@ -227,21 +244,14 @@ def verify_entangled(w: WeightProfile) -> SchemeReport:
     """
     n = w.n
     pair_count(n)
-    denominator, numerators = _over_common_denominator(w.weights.values())
-    classes: dict[int, list[bytes]] = {}
-    for comp, a in zip(w.weights, numerators):
-        classes.setdefault(a, []).append(bytes(map((1).__and__, comp.counts)))
-    columns = []
-    for a, rows in classes.items():
-        # Byte i of every row, last row first, spells column i in binary.
-        parity = b"".join(reversed(rows)).translate(_PARITY_DIGITS)
-        columns.append((a, [int(parity[i::n], 2) for i in range(n)]))
+    denominator = w.denominator
+    columns = _parity_columns(w)
     # The total of a valid pair; an odd D leaves no pair valid.
     half = denominator // 2 if denominator % 2 == 0 else -1
     failing = []
     for i in range(n - 1):
         totals = [0] * (n - 1 - i)
-        for a, col in columns:
+        for a, _, col in columns:
             ci = col[i]
             totals = [acc + a * (ci ^ cj).bit_count() for acc, cj in zip(totals, col[i + 1:])]
         if totals.count(half) == len(totals):

@@ -1,5 +1,7 @@
 """Tests for black-box identification runs."""
 
+import itertools
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -7,10 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bent import bent_witness
 from groverid.discrimination import CanonicalBlock, candidate_blocks
 from groverid.exceptions import AmbiguousClassificationError
 from groverid.identifier import OracleBlackBox, exhaustive_check, run_identification
-from groverid.oracle import GroverOracle, apply_oracle, composition_of, overlap
+from groverid.optimizer import entangled_feasible
+from groverid.oracle import (
+    Composition,
+    GroverOracle,
+    apply_oracle,
+    apply_oracle_to_copy,
+    composition_of,
+    enumerate_compositions,
+    overlap,
+)
 from groverid.schemes import (
     ProductScheme,
     WeightProfile,
@@ -18,6 +30,7 @@ from groverid.schemes import (
     construct_product_scheme,
     construction_size,
     expand_to_state,
+    verify_entangled,
     verify_product,
 )
 
@@ -128,7 +141,7 @@ def _outcome(scheme, hidden):
 def _as_profile(scheme: ProductScheme) -> WeightProfile:
     """The weight profile with the same mass on every composition as the
     product's tensor state; every candidate overlap depends on the state
-    only through those masses, so identifying it runs the tensor path."""
+    only through those masses, so identifying it runs the profile path."""
     masses: Counter = Counter()
     for a, v in expand_to_state(scheme).amps.items():
         masses[composition_of(a, scheme.n)] += v.mag2
@@ -220,3 +233,166 @@ class TestExhaustiveCheck:
                 blocks = [rng.choice(candidates) for _ in range(rng.randint(1, 3))]
                 scheme = ProductScheme(n, blocks)
                 assert exhaustive_check(scheme) == verify_product(scheme).valid
+
+
+def _tensor_outcome(profile: WeightProfile, hidden: int):
+    """The outcome of a weight-profile run from the definition: query
+    every copy slot of the expanded state, then take each candidate's
+    overlap <O_k psi|out> from its own tensor state, in order, stopping
+    at the first that is neither 0 nor 1 in magnitude."""
+    n, psi = profile.n, expand_to_state(profile)
+    out = psi
+    for copy in range(1, psi.t + 1):
+        out = apply_oracle_to_copy(GroverOracle(n, hidden), out, copy)
+    magnitudes, matches = [], []
+    for k in range(1, n + 1):
+        mag = abs(overlap(apply_oracle(GroverOracle(n, k), psi), out))
+        magnitudes.append(mag)
+        if mag == 1:
+            matches.append(k)
+        elif mag != 0:
+            return f"candidate {k} has overlap magnitude {float(mag)!r}, neither 0 nor 1"
+    if len(matches) != 1:
+        return f"{len(matches)} candidates matched the output, expected exactly 1"
+    return tuple(magnitudes), matches[0]
+
+
+def _pair_share(n, family):
+    """The share of the family's subsets holding exactly one of u and v,
+    if it is the same for every pair {u, v}, else None."""
+    shares = {
+        Fraction(sum((u in s) != (v in s) for s in family), len(family))
+        for u, v in itertools.combinations(range(1, n + 1), 2)
+    }
+    return shares.pop() if len(shares) == 1 else None
+
+
+def _families(n):
+    """Subset families whose pair share is the same for every pair: all
+    l-subsets, the translates of the (7, 3, 1) difference set {0, 1, 3}
+    and of its complement, and the 14 planes of AG(3, 2)."""
+    families = [list(itertools.combinations(range(1, n + 1), size)) for size in range(n + 1)]
+    if n == 7:
+        for base in ({0, 1, 3}, {2, 4, 5, 6}):
+            families.append([tuple(sorted((x + v) % 7 + 1 for x in base)) for v in range(7)])
+    if n == 8:
+        families.append([
+            tuple(x + 1 for x in range(8) if (a & x).bit_count() % 2 == b)
+            for a in range(1, 8) for b in (0, 1)
+        ])
+    shares = ((f, _pair_share(n, f)) for f in families if len(f) <= 40)
+    return [(f, q) for f, q in shares if q is not None]
+
+
+def _level_mixes():
+    """(n, t, [(family, mass per subset)]) for every mix of one or two
+    families whose pair shares bracket 1/2 and hit it exactly, within
+    40 compositions: each subset gets one copy on every member and its
+    t - |S| spare copies on one member, so |S| has the parity of t."""
+    half = Fraction(1, 2)
+    mixes = []
+    for n in range(3, 9):
+        for t in range(1, 5):
+            usable = [
+                (f, q) for f, q in _families(n) if len(f[0]) <= t and (t - len(f[0])) % 2 == 0
+            ]
+            for f, q in usable:
+                if q == half:
+                    mixes.append((n, t, [(f, Fraction(1, len(f)))]))
+            for (lo, q_lo), (hi, q_hi) in itertools.product(usable, repeat=2):
+                if q_lo < half < q_hi and len(lo) + len(hi) <= 40:
+                    lam = (half - q_lo) / (q_hi - q_lo)
+                    mixes.append((n, t, [(hi, lam / len(hi)), (lo, (1 - lam) / len(lo))]))
+    return mixes
+
+
+_LEVEL_MIXES = _level_mixes()
+
+
+@st.composite
+def _profiles(draw):
+    """Weight profiles on n = 3..8 with at most 40 compositions: valid
+    level mixes, relabelled at random, perturbed level mixes, and random
+    masses on random compositions."""
+    kind = draw(st.sampled_from(["valid", "perturbed", "random"]))
+    if kind == "random":
+        n, t = draw(st.integers(3, 8)), draw(st.integers(1, 4))
+        comps = enumerate_compositions(n, t)
+        chosen = draw(st.lists(st.sampled_from(comps), min_size=1, max_size=40, unique=True))
+        masses = draw(st.lists(st.integers(1, 3), min_size=len(chosen), max_size=len(chosen)))
+        return WeightProfile(n, t, {c: Fraction(m, sum(masses)) for c, m in zip(chosen, masses)})
+    n, t, parts = draw(st.sampled_from(_LEVEL_MIXES))
+    label = draw(st.permutations(range(n)))
+    weights: Counter = Counter()
+    for family, mass in parts:
+        for subset in family:
+            counts = [0] * n
+            for v in subset:
+                counts[label[v - 1]] = 1
+            spare = draw(st.sampled_from(subset)) if subset else draw(st.integers(1, n))
+            counts[label[spare - 1]] += t - len(subset)
+            weights[Composition(tuple(counts))] += mass
+    if kind == "perturbed":
+        comps = list(weights)
+        src = draw(st.sampled_from(comps))
+        dst = draw(st.sampled_from(enumerate_compositions(n, t)))
+        moved = weights[src] * draw(st.sampled_from([Fraction(1, 2), Fraction(1)]))
+        weights[src] -= moved
+        weights[dst] += moved
+    else:
+        assert verify_entangled(WeightProfile(n, t, weights)).valid
+    return WeightProfile(n, t, weights)
+
+
+class TestParityColumns:
+    """A weight profile's overlaps come from parity columns; its outcome
+    must be that of the tensor-state definition."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(profile=_profiles())
+    def test_matches_tensor_loop(self, profile):
+        for h in range(1, profile.n + 1):
+            box = OracleBlackBox(GroverOracle(profile.n, h))
+            got = _outcome(profile, box)
+            assert box.calls == profile.t
+            assert got == _tensor_outcome(profile, h)
+            if not isinstance(got, str):
+                assert all(type(mag) is Fraction for mag in got[0])
+            elif verify_entangled(profile).valid:
+                pytest.fail(f"valid profile is ambiguous: {got}")
+
+    def test_strategy_reaches_every_outcome(self):
+        """The property above sees valid and invalid profiles, one and
+        several mass classes, and both ambiguity messages."""
+        seen = set()
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(profile=_profiles())
+        def collect(profile):
+            seen.add("valid" if verify_entangled(profile).valid else "invalid")
+            seen.add("one class" if len(set(profile.weights.values())) == 1 else "classes")
+            for h in range(1, profile.n + 1):
+                outcome = _outcome(profile, GroverOracle(profile.n, h))
+                if isinstance(outcome, str):
+                    seen.add("magnitude" if outcome.startswith("candidate") else "count")
+
+        collect()
+        assert seen == {"valid", "invalid", "one class", "classes", "magnitude", "count"}
+
+    def test_mismatch_raises(self, monkeypatch):
+        import groverid.identifier as identifier
+
+        monkeypatch.setattr(identifier, "overlap", lambda x, y: Fraction(-1))
+        with pytest.raises(RuntimeError, match="column overlap 1 != tensor overlap -1"):
+            run_identification(builtin("n6-entangled"), GroverOracle(6, 4))
+
+    @pytest.mark.parametrize("name", ["uniform n=16", "bent n=256"])
+    def test_scale(self, name):
+        profile = entangled_feasible(16, 6).witness if name == "uniform n=16" else bent_witness(256)
+        n = profile.n
+        for k in (1, n // 2, n):
+            start = time.perf_counter()
+            run = run_identification(profile, GroverOracle(n, k))
+            assert time.perf_counter() - start < 1.5
+            assert run.identified == k
+            assert run.hidden_queries_used == profile.t

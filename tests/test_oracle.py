@@ -359,3 +359,25 @@ class TestAmpState:
             AmpState(2, 2, {(1,): SqrtRational.sqrt(Fraction(1))})
         with pytest.raises(ValueError):
             AmpState(2, 1, {(3,): SqrtRational.sqrt(Fraction(1))})
+
+    @pytest.mark.parametrize(
+        "t, amps, error, message",
+        [
+            (2, {(1,): SqrtRational.sqrt(1)}, ValueError, "tuple (1,) has length 1, expected t=2"),
+            (2, {(1, 0): SqrtRational.sqrt(1)}, ValueError, "tuple entry 0 out of range 1..3"),
+            (2, {(4, 1): SqrtRational.sqrt(1)}, ValueError, "tuple entry 4 out of range 1..3"),
+            (1, {(1,): Fraction(1)}, TypeError,
+             "amplitude of (1,) must be a SqrtRational, got Fraction"),
+            (1, {}, ValueError, "exact state has squared norm 0, expected 1"),
+            (1, {(1,): SqrtRational.zero()}, ValueError,
+             "exact state has squared norm 0, expected 1"),
+            (2, {(1, 2): SqrtRational.sqrt(Fraction(1, 6)),
+                 (3, 3): SqrtRational.sqrt(Fraction(1, 3))},
+             ValueError, "exact state has squared norm 1/2, expected 1"),
+        ],
+    )
+    def test_error_messages(self, t, amps, error, message):
+        """Each check names what failed, in these exact words (n = 3)."""
+        with pytest.raises(error) as exc:
+            AmpState(3, t, amps)
+        assert str(exc.value) == message
