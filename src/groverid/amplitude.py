@@ -6,10 +6,12 @@ moduli.  The oracles then act only as diagonal +/-1 operators, so
 amplitudes are never added or multiplied; they are only sign-flipped.
 That makes ``sign * sqrt(mag2)`` with a rational ``mag2`` a closed
 exact representation for every state the constructions produce (all
-squared moduli in the source material are rational).  The only inner
-products the package takes are between two oracle outputs of one input
-state, <O_k psi|O_h psi> = sum_a |psi_a|^2 (+/-1), so every overlap is
-a plain rational sum.
+squared moduli in the source material are rational).  ``AmpState``
+takes and gives back such values, and inside keeps the moduli in a
+table and the signs in one int.  The only inner products the package
+takes are between two oracle outputs of one input state,
+<O_k psi|O_h psi> = sum_a |psi_a|^2 (+/-1), so every overlap is a plain
+rational sum.
 """
 
 from __future__ import annotations
@@ -71,14 +73,18 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
 def signed_sqrt_sum(terms: list[tuple[int, Fraction]]) -> Fraction:
     """Exact sum of the values sign*sqrt(mag2).
 
-    Every mag2 must be a perfect rational square, which holds for each
-    cross term of two oracle outputs of one state (there mag2 is
+    The signs are summed per distinct mag2 first, so each root is taken
+    once.  Every mag2 must be a perfect rational square, which holds for
+    each cross term of two oracle outputs of one state (there mag2 is
     |psi_a|^4); any other term raises ValueError.
     """
-    total = Fraction(0)
+    coefficients: dict[Fraction, int] = {}
     for sign, mag2 in terms:
+        coefficients[mag2] = coefficients.get(mag2, 0) + sign
+    total = Fraction(0)
+    for mag2, coefficient in coefficients.items():
         root = rational_sqrt(mag2)
         if root is None:
             raise ValueError(f"sqrt({mag2}) is not rational")
-        total += sign * root
+        total += coefficient * root
     return total

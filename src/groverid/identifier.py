@@ -8,16 +8,17 @@ against the precomputed outputs of every candidate oracle; for a valid
 scheme those are mutually orthogonal, so exactly one overlap has unit
 magnitude.  Overlaps are exact rationals and are compared with ``==``.
 
-A product scheme runs one block at a time.  Its input is a tensor
-product of one-copy states and every oracle is diagonal, so each
-candidate overlap is a product over blocks of one-copy sums: the box
-gets each block's one-copy state as its own query, and no multi-copy
-state is built.  A weight profile's t queries run on its expanded t-copy
-state; its candidate overlaps then come from the integer parity columns
-that its verifier reads, one popcount per mass class, not from n
-candidate states.  The matched candidate's overlap is taken once more
-from its tensor state as a check.  Both paths share one classification
-loop.
+A query flips signs only, so the run reads the box's answer as the
+output state's sign bits.  A product scheme runs one block at a time.
+Its input is a tensor product of one-copy states and every oracle is
+diagonal, so each candidate overlap is a product over blocks of
+one-copy sums: the box gets each block's one-copy state as its own
+query, and no multi-copy state is built.  A weight profile's t queries
+run on its expanded t-copy state; its candidate overlaps then come from
+the integer parity columns that its verifier reads, one popcount per
+mass class, not from n candidate states.  The matched candidate's
+overlap is taken once more from its tensor state as a check.  Both
+paths share one classification loop.
 """
 
 from __future__ import annotations
@@ -26,10 +27,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .amplitude import SqrtRational
-from .discrimination import all_pairs, block_state, pair_count
+from .discrimination import CanonicalBlock, all_pairs, pair_count
 from .exceptions import AmbiguousClassificationError, ResourceCapError
-from .oracle import AmpState, GroverOracle, apply_oracle, apply_oracle_to_copy, overlap
+from .oracle import (
+    AmpState,
+    GroverOracle,
+    StateTable,
+    apply_oracle,
+    apply_oracle_to_copy,
+    overlap,
+)
 from .schemes import (
     MAX_TUPLES,
     ProductScheme,
@@ -135,37 +142,65 @@ def run_identification(
 def _column_overlaps(scheme: WeightProfile, out: AmpState) -> list[Fraction]:
     """The n candidate overlaps <O_k psi|out> of a weight profile.
 
-    psi puts sqrt(q_c) on one representative tuple per composition c, so
-    <O_k psi|out> = sum_c q_c (-1)^(c_k) s_c, with s_c the sign of out at
-    c's tuple.  In a mass class a (q_c = a/D, ``_parity_columns``) let bit
-    c of out_a be set when s_c is negative; then the class adds
+    psi = ``expand_to_state(scheme)`` puts sqrt(q_c) on one representative
+    tuple per composition c, row c in ``weights`` order, and ``out``
+    shares its table, so <O_k psi|out> = sum_c q_c (-1)^(c_k) s_c, with
+    s_c negative when bit c of ``out.sign`` is set.  In a mass class a
+    (q_c = a/D, ``_parity_columns``) let bit j of out_a be the sign bit
+    of the class's j-th composition; then the class adds
     a * (N_a - 2 * popcount(col_a[k] ^ out_a)) / D, N_a its size.  So
     each value is exactly the tensor overlap, one popcount per class.
     """
+    bits = f"{out.sign:0{len(scheme.weights)}b}"[::-1]  # bits[r]: row r's sign bit
+    rows: dict[int, list[int]] = {}  # the rows of each class, in its order
+    for r, a in enumerate(scheme.numerators):
+        rows.setdefault(a, []).append(r)
     totals = [0] * scheme.n
     for a, comps, cols in _parity_columns(scheme):
-        signs = "".join(
-            "1" if out.amps[comp.representative_tuple()].sign < 0 else "0"
-            for comp in reversed(comps)
-        )
-        out_a, size = int(signs, 2), len(comps)
+        out_a, size = int("".join([bits[r] for r in reversed(rows[a])]), 2), len(comps)
         totals = [
             acc + a * (size - 2 * (col ^ out_a).bit_count()) for acc, col in zip(totals, cols)
         ]
     return [Fraction(total, scheme.denominator) for total in totals]
 
 
+def _block_query(b: CanonicalBlock, singles: list[tuple[int]]) -> tuple[AmpState, Fraction, dict]:
+    """Block b's one-copy state from the closed-form moduli of
+    ``block_state``, the modulus shared by every index it does not list,
+    and the moduli of those it lists: a pair or quad lists its support
+    and shares 0, a star lists its centre and shares 1/(2(n-2)).
+    ``singles[i - 1]`` is the tuple (i,).
+    """
+    n = b.n
+    if b.kind != "star":
+        q = Fraction(1, len(b.indices))
+        listed = dict.fromkeys(b.indices, q)
+        table = StateTable(n, 1, [singles[i - 1] for i in b.indices], listed.values())
+        return AmpState.on(table), Fraction(0), listed
+    centre = b.indices[0]
+    shared, own = Fraction(1, 2 * (n - 2)), Fraction(n - 3, 2 * (n - 2))
+    mag2s = [shared] * n
+    mag2s[centre - 1] = own
+    rows = singles
+    if not own:  # n = 3: the centre has modulus 0, so no row
+        rows, mag2s = singles[:centre - 1] + singles[centre:], mag2s[:centre - 1] + mag2s[centre:]
+    return AmpState.on(StateTable(n, 1, rows, mag2s)), shared, {centre: own}
+
+
 def _product_overlaps(scheme: ProductScheme, box: OracleBlackBox) -> list[Fraction]:
     """The n candidate overlaps of a product scheme, one block at a time.
 
-    Block b's state phi_b goes through the box as one one-copy query;
-    s_b(i) is the sign of its output on index i.  Candidate k's overlap
-    is the product over blocks of base_b = sum_i |phi_b(i)|^2 s_b(i),
-    except that a block holding k gives base_b - 2 |phi_b(k)|^2 s_b(k).
-    So each candidate takes the product of the nonzero bases, a count of
-    the zero ones, and its own factors: O(n + sum_b |supp b|) Fraction
-    operations in all, none a division by zero, each value exactly the
-    tensor-state overlap.
+    Block b's state phi_b goes through the box as one one-copy query,
+    and the output's sign bits name the rows it flipped; w_b(i) is
+    |phi_b(i)|^2 with the output's sign on index i.  Candidate k's
+    overlap is the product over blocks of base_b - 2 w_b(k), where
+    base_b = sum_i w_b(i) = 1 - 2 (sum of the flipped moduli).  The
+    indices that ``_block_query`` does not list and the box did not flip
+    share one w_b, so one factor.  So each candidate takes the product
+    of the nonzero shared factors, a count of the zero ones, and its own
+    factors in the blocks that list or flip it: O(n + listed and flipped
+    entries) Fraction operations in all, a star two or three, none a
+    division by zero, each value exactly the tensor-state overlap.
 
     The pair cap comes first, as in ``block_state``, and also bounds the
     n-sized lists; the support entries (a pair 2, a quad 4, a star n) are
@@ -178,25 +213,31 @@ def _product_overlaps(scheme: ProductScheme, box: OracleBlackBox) -> list[Fracti
         raise ResourceCapError(
             f"{entries} support entries in {scheme.t} blocks exceeds cap {MAX_TUPLES}"
         )
+    singles = [(i,) for i in range(1, n + 1)]
     product, zeros = Fraction(1), 0
-    ratio = [Fraction(1)] * (n + 1)  # k's own factors over the nonzero bases they replace
-    zeros_held = [0] * (n + 1)  # zero bases among the blocks that hold k
+    ratio = [Fraction(1)] * (n + 1)  # k's own factors over the shared ones they replace
+    zeros_held = [0] * (n + 1)  # zero shared factors in the blocks that list k
     for b in scheme.blocks:
-        mag2s = block_state(b).mag2s
-        state = AmpState(n, 1, {(i,): SqrtRational.sqrt(q) for i, q in mag2s.items()})
-        out = box.apply(state, 1).amps
-        signed = {i: q if out[(i,)].sign > 0 else -q for i, q in mag2s.items()}
-        base = sum(signed.values(), Fraction(0))
-        if base:
-            product *= base
+        state, shared, listed = _block_query(b, singles)
+        flipped, table = box.apply(state, 1).sign, state.table
+        base = Fraction(1)
+        while flipped:
+            r = flipped.bit_length() - 1
+            flipped ^= 1 << r
+            (i,), q = table.tuples[r], table.mag2s[r]
+            listed[i] = -q
+            base -= 2 * q
+        common = base - 2 * shared
+        if common:
+            product *= common
         else:
             zeros += 1
         # one exact division per distinct term, not per index; a zero
-        # base is counted instead of divided out
-        own = {w: (base - 2 * w) / (base or 1) for w in set(signed.values())}
-        for i, w in signed.items():
+        # factor is counted instead of divided out
+        own = {w: (base - 2 * w) / (common or 1) for w in set(listed.values())}
+        for i, w in listed.items():
             ratio[i] *= own[w]
-            zeros_held[i] += not base
+            zeros_held[i] += not common
     return [
         product * ratio[k] if zeros == zeros_held[k] else Fraction(0)
         for k in range(1, n + 1)

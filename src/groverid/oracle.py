@@ -8,10 +8,12 @@ flip per occurrence of the target.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .amplitude import SqrtRational, signed_sqrt_sum
 from .exceptions import ResourceCapError
@@ -73,10 +75,11 @@ class Composition:
 
     def representative_tuple(self) -> BasisTuple:
         """Lexicographically smallest tuple with this composition."""
-        out: list[int] = []
-        for i, c in enumerate(self.counts, start=1):
-            out.extend([i] * c)
-        return tuple(out)
+        indices = range(1, self.n + 1)
+        if max(self.counts) == 1:  # each index at most once
+            return tuple(itertools.compress(indices, self.counts))
+        runs = map(itertools.repeat, indices, self.counts)
+        return tuple(itertools.chain.from_iterable(runs))
 
 
 def validate_tuple(a: BasisTuple, n: int) -> None:
@@ -161,12 +164,63 @@ def _over_common_denominator(masses: list[Fraction]) -> tuple[int, list[int]]:
     return denominator, [q.numerator * (denominator // q.denominator) for q in masses]
 
 
-class AmpState:
-    """Sparse exact t-copy state: a map from basis tuples to SqrtRational
-    amplitudes.  Instances are immutable after construction and safe to
-    share."""
+class StateTable:
+    """What no oracle changes in a multi-copy state: its tuples and their
+    squared moduli, in row order, checked once (by ``AmpState`` or by how
+    ``expand_to_state`` builds them) and shared by every state derived
+    from it.  Its indexes fill lazily and are kept: the row of each
+    tuple, the rows of each distinct modulus, and per slot and target
+    the rows a query flips, one O(K) pass each for K rows.
+    """
 
-    __slots__ = ("n", "t", "amps")
+    __slots__ = ("n", "t", "tuples", "mag2s", "_rows", "_slots", "_classes")
+
+    def __init__(self, n: int, t: int, tuples: Sequence[BasisTuple], mag2s: Sequence[Fraction]):
+        self.n = n
+        self.t = t
+        self.tuples = tuple(tuples)
+        self.mag2s = tuple(mag2s)
+        self._rows: dict[BasisTuple, int] | None = None
+        self._slots: list[dict[int, int]] = [{} for _ in range(t)]
+        self._classes: dict[Fraction, int] | None = None
+
+    def row(self, a: BasisTuple) -> int | None:
+        """The row of tuple a, or None when a has amplitude 0."""
+        if self._rows is None:
+            self._rows = dict(zip(self.tuples, range(len(self.tuples))))
+        return self._rows.get(a)
+
+    def flips(self, copy: int, target: int) -> int:
+        """Mask of the rows whose entry in slot ``copy`` (1-based) is
+        ``target``: the signs one query of that oracle on that slot flips."""
+        masks = self._slots[copy - 1]
+        if target not in masks:
+            hits = map(target.__eq__, map(operator.itemgetter(copy - 1), self.tuples))
+            rows = itertools.compress(itertools.count(), hits)
+            masks[target] = sum(map((1).__lshift__, rows))
+        return masks[target]
+
+    def classes(self) -> dict[Fraction, int]:
+        """Each distinct squared modulus, in row order of first use, with
+        the mask of its rows."""
+        if self._classes is None:
+            rows: dict[Fraction, list[int]] = {}
+            for r, q in enumerate(self.mag2s):
+                rows.setdefault(q, []).append(r)
+            self._classes = {q: sum(map((1).__lshift__, rs)) for q, rs in rows.items()}
+        return self._classes
+
+
+class AmpState:
+    """Sparse exact t-copy state, built from a map of basis tuples to
+    ``SqrtRational`` amplitudes (checked, zeros dropped) and held as a
+    ``StateTable`` plus ``sign``, an int whose bit r is set when row r is
+    negative.  An oracle only flips signs, so the states it derives share
+    the table.  ``amps`` is a read-only view of the amplitudes.
+    Instances are immutable and safe to share.
+    """
+
+    __slots__ = ("n", "t", "table", "sign")
 
     def __init__(self, n: int, t: int, amps: Mapping[BasisTuple, SqrtRational]):
         if n < 1 or t < 1:
@@ -182,25 +236,64 @@ class AmpState:
                 raise TypeError(f"amplitude of {a} must be a SqrtRational, got {type(v).__name__}")
             if not v.is_zero:
                 store[a] = v
-        self.n = n
-        self.t = t
-        self.amps = store
-        denominator, numerators = _over_common_denominator([v.mag2 for v in store.values()])
+        mag2s = [v.mag2 for v in store.values()]
+        denominator, numerators = _over_common_denominator(mag2s)
         norm = sum(numerators)
         if norm != denominator:
             raise ValueError(
                 f"exact state has squared norm {Fraction(norm, denominator)}, expected 1"
             )
+        negative = "".join("1" if v.sign < 0 else "0" for v in reversed(store.values()))
+        self.n = n
+        self.t = t
+        self.table = StateTable(n, t, store, mag2s)
+        self.sign = int(negative or "0", 2)
+
+    @classmethod
+    def on(cls, table: StateTable, sign: int = 0) -> "AmpState":
+        """The state with these signs on a table, unchecked."""
+        state = object.__new__(cls)
+        state.n = table.n
+        state.t = table.t
+        state.table = table
+        state.sign = sign
+        return state
+
+    @property
+    def amps(self) -> Mapping[BasisTuple, SqrtRational]:
+        return _Amplitudes(self)
 
     def mag2(self, a: BasisTuple) -> Fraction:
-        v = self.amps.get(tuple(a))
-        return Fraction(0) if v is None else v.mag2
+        r = self.table.row(tuple(a))
+        return Fraction(0) if r is None else self.table.mag2s[r]
 
     def tuples(self) -> Iterable[BasisTuple]:
         return self.amps.keys()
 
     def __repr__(self) -> str:
-        return f"AmpState(n={self.n}, t={self.t}, {len(self.amps)} tuples)"
+        return f"AmpState(n={self.n}, t={self.t}, {len(self.table.tuples)} tuples)"
+
+
+class _Amplitudes(Mapping):
+    """A state's amplitudes, tuple to SqrtRational, in row order."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: AmpState):
+        self._state = state
+
+    def __getitem__(self, a: BasisTuple) -> SqrtRational:
+        table = self._state.table
+        r = table.row(a)
+        if r is None:
+            raise KeyError(a)
+        return SqrtRational(-1 if self._state.sign >> r & 1 else 1, table.mag2s[r])
+
+    def __len__(self) -> int:
+        return len(self._state.table.tuples)
+
+    def __iter__(self) -> Iterator[BasisTuple]:
+        return iter(self._state.table.tuples)
 
 
 def _check_same_shape(oracle: GroverOracle, state: AmpState) -> None:
@@ -212,12 +305,10 @@ def apply_oracle(oracle: GroverOracle, state: AmpState) -> AmpState:
     """Apply the oracle to every copy at once: the amplitude of tuple a
     picks up one sign flip per occurrence of the target in a."""
     _check_same_shape(oracle, state)
-    new_amps: dict[BasisTuple, SqrtRational] = {}
-    for a, v in state.amps.items():
-        if a.count(oracle.target) % 2 == 1:
-            v = -v
-        new_amps[a] = v
-    return AmpState(state.n, state.t, new_amps)
+    table, flips = state.table, 0
+    for copy in range(1, state.t + 1):
+        flips ^= table.flips(copy, oracle.target)
+    return AmpState.on(table, state.sign ^ flips)
 
 
 def apply_oracle_to_copy(oracle: GroverOracle, state: AmpState, copy: int) -> AmpState:
@@ -225,28 +316,33 @@ def apply_oracle_to_copy(oracle: GroverOracle, state: AmpState, copy: int) -> Am
     _check_same_shape(oracle, state)
     if not 1 <= copy <= state.t:
         raise ValueError(f"copy slot {copy} out of range 1..{state.t}")
-    new_amps: dict[BasisTuple, SqrtRational] = {}
-    for a, v in state.amps.items():
-        if a[copy - 1] == oracle.target:
-            v = -v
-        new_amps[a] = v
-    return AmpState(state.n, state.t, new_amps)
+    return AmpState.on(state.table, state.sign ^ state.table.flips(copy, oracle.target))
 
 
 def overlap(x: AmpState, y: AmpState) -> Fraction:
     """Inner product <x|y> as an exact Fraction.
 
-    Each cross term is sign * sqrt(mag2_x * mag2_y).  For two oracle
-    outputs of one input state mag2_x == mag2_y on every tuple, so the
-    sum is rational term by term; states whose cross terms are not
-    rational raise ValueError.
+    Each cross term is sign * sqrt(mag2_x * mag2_y).  On one table, as
+    for two oracle outputs of one input state, a row adds +/-mag2, so
+    each distinct modulus gives ``signed_sqrt_sum`` one term, counted by
+    popcounts.  States on different tables are summed tuple by tuple,
+    and cross terms that are not rational raise ValueError.
     """
     if (x.n, x.t) != (y.n, y.t):
         raise ValueError(
             f"shape mismatch: ({x.n}, {x.t}) vs ({y.n}, {y.t})"
         )
+    if x.table is y.table:
+        differ = x.sign ^ y.sign
+        terms = []
+        for q, rows in x.table.classes().items():
+            # the class adds q * (rows that agree - rows that differ)
+            c = rows.bit_count() - 2 * (differ & rows).bit_count()
+            terms.append((-1 if c < 0 else 1, (c * q) ** 2))
+        return signed_sqrt_sum(terms)
+    xa, ya = x.amps, y.amps
     terms = []
-    for a in x.amps.keys() & y.amps.keys():
-        xv, yv = x.amps[a], y.amps[a]
+    for a in xa.keys() & ya.keys():
+        xv, yv = xa[a], ya[a]
         terms.append((xv.sign * yv.sign, xv.mag2 * yv.mag2))
     return signed_sqrt_sum(terms)

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .amplitude import SqrtRational
 from .discrimination import CanonicalBlock, all_pairs, block_state, pair_count
 from .exceptions import IndistinguishableError, ResourceCapError
-from .oracle import AmpState, Composition, _over_common_denominator
+from .oracle import AmpState, Composition, StateTable, _over_common_denominator
 
 #: Cap on the entries identification reads: the tuple count of an
 #: expanded state, a weight profile's compositions times t, or a product
@@ -264,14 +263,16 @@ def verify_entangled(w: WeightProfile) -> SchemeReport:
 
 
 def expand_to_state(s: Scheme) -> AmpState:
-    """Lift a scheme to its multi-copy input state.
+    """Lift a scheme to its multi-copy input state, one ``StateTable``
+    that holds by construction, every sign positive.
 
     Product schemes expand to the full tensor product of their blocks.
     Identification never expands one (it runs block by block), so this
     branch is the tests' reference for small n.  Weight profiles place
-    amplitude sqrt(q) on one representative tuple per composition, which
-    preserves every pair condition because the parity depends on a tuple
-    only through its composition.
+    amplitude sqrt(q) on one representative tuple per composition, row r
+    for the r-th composition of ``weights``, which preserves every pair
+    condition because the parity depends on a tuple only through its
+    composition.
 
     Both caps are checked before the work they bound: a profile's tuple
     entries (compositions times t) before any tuple is built, and a
@@ -281,25 +282,20 @@ def expand_to_state(s: Scheme) -> AmpState:
         entries = len(s.weights) * s.t
         if entries > MAX_TUPLES:
             raise ResourceCapError(f"{entries} tuple entries exceeds cap {MAX_TUPLES}")
-        amps = {
-            comp.representative_tuple(): SqrtRational.sqrt(q)
-            for comp, q in s.weights.items()
-        }
-        return AmpState(s.n, s.t, amps)
+        tuples = [comp.representative_tuple() for comp in s.weights]
+        return AmpState.on(StateTable(s.n, s.t, tuples, s.weights.values()))
     if not s.blocks:
         raise ValueError("an empty scheme has no input state")
     supports = []
     count = 1
     for b in s.blocks:
-        supports.append(list(block_state(b).mag2s.items()))
+        supports.append(block_state(b).mag2s)
         count *= len(supports[-1])
         if count > MAX_TUPLES:
             raise ResourceCapError(f"over {MAX_TUPLES} tuples after {len(supports)} blocks")
-    amps = {
-        tuple(i for i, _ in combo): SqrtRational.sqrt(math.prod(q for _, q in combo))
-        for combo in itertools.product(*supports)
-    }
-    return AmpState(s.n, len(supports), amps)
+    tuples = itertools.product(*supports)
+    mag2s = map(math.prod, itertools.product(*(m.values() for m in supports)))
+    return AmpState.on(StateTable(s.n, len(supports), tuples, mag2s))
 
 
 def builtin(name: str, diag: int = 3) -> Scheme:

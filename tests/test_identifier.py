@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from bent import bent_witness
 from groverid.discrimination import CanonicalBlock, candidate_blocks
 from groverid.exceptions import AmbiguousClassificationError
-from groverid.identifier import OracleBlackBox, exhaustive_check, run_identification
+from groverid.identifier import (
+    OracleBlackBox,
+    _product_overlaps,
+    exhaustive_check,
+    run_identification,
+)
 from groverid.optimizer import entangled_feasible
 from groverid.oracle import (
     Composition,
@@ -33,6 +38,7 @@ from groverid.schemes import (
     verify_entangled,
     verify_product,
 )
+from product_schemes import product_schemes
 
 
 class TestRunIdentification:
@@ -201,6 +207,40 @@ class TestBlockByBlock:
             monkeypatch.setattr(identifier, name, refuse)
         run = run_identification(builtin("n5-product"), GroverOracle(5, 4))
         assert run.identified == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(scheme=product_schemes())
+    def test_signed_overlaps_are_tensor_overlaps(self, scheme):
+        """Each candidate's overlap from the blocks, sign included, is
+        <O_k psi|O_h psi> on the expanded state, for every hidden h.  The
+        blocks after the tensor state passes 1024 tuples are left out."""
+        blocks, size = [], 1
+        for b in scheme.blocks:
+            size *= scheme.n if b.kind == "star" else len(b.indices)
+            if size > 1024:
+                break
+            blocks.append(b)
+        scheme = ProductScheme(scheme.n, blocks)
+        n, psi = scheme.n, expand_to_state(scheme)
+        outputs = [apply_oracle(GroverOracle(n, k), psi) for k in range(1, n + 1)]
+        for h in range(1, n + 1):
+            box = OracleBlackBox(GroverOracle(n, h))
+            got = _product_overlaps(scheme, box)
+            assert box.calls == scheme.t
+            assert got == [overlap(out, outputs[h - 1]) for out in outputs]
+
+    def test_stars_on_the_largest_construction(self):
+        """40 stars tensor the n = 4472 construction: 184,844 support
+        entries, each star's n indices sharing one factor."""
+        n = 4472
+        stars = [CanonicalBlock.star(c, n) for c in range(1, 41)]
+        scheme = ProductScheme(n, stars + list(construct_product_scheme(n).blocks))
+        for k in (1, 40, 41, n):
+            start = time.perf_counter()
+            run = run_identification(scheme, GroverOracle(n, k))
+            assert time.perf_counter() - start < 3
+            assert run.identified == k
+            assert run.hidden_queries_used == 40 + construction_size(n)
 
     def test_construction_scales(self):
         for n in range(15, 41):
@@ -396,3 +436,13 @@ class TestParityColumns:
             assert time.perf_counter() - start < 1.5
             assert run.identified == k
             assert run.hidden_queries_used == profile.t
+
+    def test_scale_bent_1024(self):
+        """The n = 1024 bent witness (t = 496): each query is one XOR on
+        the expanded state's sign int."""
+        profile = bent_witness(1024)
+        start = time.perf_counter()
+        run = run_identification(profile, GroverOracle(1024, 512))
+        assert time.perf_counter() - start < 5
+        assert run.identified == 512
+        assert run.hidden_queries_used == profile.t

@@ -26,6 +26,9 @@ from groverid.oracle import (
 )
 from groverid.schemes import ProductScheme, expand_to_state
 
+import dict_state
+from dict_state import DictState
+
 
 def brute_tau(a, i, j):
     """Independent parity oracle: sum of per-entry deltas, mod 2."""
@@ -381,3 +384,80 @@ class TestAmpState:
         with pytest.raises(error) as exc:
             AmpState(3, t, amps)
         assert str(exc.value) == message
+
+
+@st.composite
+def _amplitudes(draw, n, t):
+    """Up to 10 tuples on n, t with random signs and squared moduli from
+    a few weights, zeros included, normalized."""
+    tuples = draw(
+        st.lists(st.tuples(*[st.integers(1, n)] * t), min_size=1, max_size=10, unique=True)
+    )
+    k = len(tuples)
+    weights = draw(st.lists(st.sampled_from([0, 1, 1, 2, 4, 9]), min_size=k, max_size=k))
+    if not any(weights):
+        weights[0] = 1
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=k, max_size=k))
+    return {
+        a: SqrtRational.sqrt(Fraction(w, sum(weights)), sign)
+        for a, w, sign in zip(tuples, weights, signs)
+    }
+
+
+def _value_or_error(f, x, y):
+    try:
+        return f(x, y)
+    except ValueError:
+        return "ValueError"
+
+
+class TestAgainstDictState:
+    """The table-and-sign state against the dict-rebuilding one it
+    replaced (``tests/dict_state.py``): same amplitudes, moduli, tuple
+    order and overlaps after any sequence of queries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_queries_and_overlaps(self, data):
+        n, t = data.draw(st.integers(1, 6), label="n"), data.draw(st.integers(1, 4), label="t")
+        amps = data.draw(_amplitudes(n, t), label="amps")
+        if data.draw(st.booleans(), label="resigned other"):
+            # same tuples and moduli on another table, so cross terms are rational
+            other_amps = {
+                a: SqrtRational.sqrt(v.mag2, data.draw(st.sampled_from([-1, 1])))
+                for a, v in amps.items()
+            }
+        else:
+            other_amps = data.draw(_amplitudes(n, t), label="other amps")
+        queries = data.draw(
+            st.lists(st.tuples(st.integers(0, t), st.integers(1, n)), max_size=6), label="queries"
+        )
+        state, ref = AmpState(n, t, amps), DictState(n, t, amps)
+        states, refs = [state], [ref]
+        for copy, target in queries:  # copy 0: every copy at once
+            if copy:
+                state = apply_oracle_to_copy(GroverOracle(n, target), state, copy)
+                ref = dict_state.apply_oracle_to_copy(target, ref, copy)
+            else:
+                state = apply_oracle(GroverOracle(n, target), state)
+                ref = dict_state.apply_oracle(target, ref)
+            assert state.table is states[0].table
+            states.append(state)
+            refs.append(ref)
+        other, other_ref = AmpState(n, t, other_amps), DictState(n, t, other_amps)
+        probes = amps.keys() | other_amps.keys()
+        for x, rx in zip(states, refs):
+            assert list(x.amps.items()) == list(rx.amps.items())
+            assert len(x.amps) == len(rx.amps)
+            assert list(x.tuples()) == list(rx.tuples())
+            assert all(x.mag2(a) == rx.mag2(a) for a in probes)
+            for y, ry in zip(states, refs):
+                value = overlap(x, y)
+                assert type(value) is Fraction
+                assert value == dict_state.overlap(rx, ry)
+            assert _value_or_error(overlap, x, other) == _value_or_error(
+                dict_state.overlap, rx, other_ref
+            )
+            assert _value_or_error(overlap, other, x) == _value_or_error(
+                dict_state.overlap, other_ref, rx
+            )
