@@ -74,9 +74,12 @@ def signed_sqrt_sum(terms: list[tuple[int, Fraction]]) -> Fraction:
     """Exact sum of the values sign*sqrt(mag2).
 
     The signs are summed per distinct mag2 first, so each root is taken
-    once.  Every mag2 must be a perfect rational square, which holds for
-    each cross term of two oracle outputs of one state (there mag2 is
-    |psi_a|^4); any other term raises ValueError.
+    once.  Every mag2 must be a perfect rational square.  ``overlap``
+    passes one term (c*q)^2 per modulus class q for two states on one
+    table, c the rows that agree less those that differ.  For states on
+    different tables it passes mag2_x * mag2_y per shared tuple, a
+    square when the two moduli agree (|psi_a|^4); any term that is not a
+    square raises ValueError.
     """
     coefficients: dict[Fraction, int] = {}
     for sign, mag2 in terms:

@@ -24,9 +24,10 @@ class ResourceCapError(GroveridError):
     """Raised when an enumeration, expansion or graph would exceed one of
     the fixed size caps (``schemes.MAX_TUPLES``,
     ``oracle.MAX_COMPOSITIONS``, ``oracle.MAX_COMPOSITION_ENTRIES``,
-    ``discrimination.MAX_PAIRS``) or the cover search's ``max_n``,
-    checked before the work is done, or when the cover search enters
-    more than ``optimizer.MAX_COVER_NODES`` nodes."""
+    ``discrimination.MAX_PAIRS``, ``optimizer.MAX_COVER_SETUP``) or the
+    cover search's ``max_n``, checked before the work is done, or when
+    the cover search enters more than ``optimizer.MAX_COVER_NODES``
+    nodes."""
 
 
 class SchemaError(GroveridError):

@@ -190,17 +190,18 @@ def _block_query(b: CanonicalBlock, singles: list[tuple[int]]) -> tuple[AmpState
 def _product_overlaps(scheme: ProductScheme, box: OracleBlackBox) -> list[Fraction]:
     """The n candidate overlaps of a product scheme, one block at a time.
 
-    Block b's state phi_b goes through the box as one one-copy query,
-    and the output's sign bits name the rows it flipped; w_b(i) is
-    |phi_b(i)|^2 with the output's sign on index i.  Candidate k's
-    overlap is the product over blocks of base_b - 2 w_b(k), where
-    base_b = sum_i w_b(i) = 1 - 2 (sum of the flipped moduli).  The
-    indices that ``_block_query`` does not list and the box did not flip
-    share one w_b, so one factor.  So each candidate takes the product
-    of the nonzero shared factors, a count of the zero ones, and its own
-    factors in the blocks that list or flip it: O(n + listed and flipped
-    entries) Fraction operations in all, a star two or three, none a
-    division by zero, each value exactly the tensor-state overlap.
+    Block b's state phi_b goes through the box as one one-copy query.
+    Its rows are the distinct tuples (i,), so the output's sign names at
+    most one flipped row; w_b(i) is |phi_b(i)|^2 with the output's sign
+    on index i.  Candidate k's overlap is the product over blocks of
+    base_b - 2 w_b(k), where base_b = sum_i w_b(i) = 1 - 2 (the flipped
+    modulus, or 0).  The indices that ``_block_query`` does not list and
+    the box did not flip share one w_b, so one factor.  So each
+    candidate takes the product of the nonzero shared factors, a count
+    of the zero ones, and its own factors in the blocks that list or
+    flip it: O(n + listed and flipped entries) Fraction operations in
+    all, a star two or three, none a division by zero, each value
+    exactly the tensor-state overlap.
 
     The pair cap comes first, as in ``block_state``, and also bounds the
     n-sized lists; the support entries (a pair 2, a quad 4, a star n) are
@@ -221,9 +222,8 @@ def _product_overlaps(scheme: ProductScheme, box: OracleBlackBox) -> list[Fracti
         state, shared, listed = _block_query(b, singles)
         flipped, table = box.apply(state, 1).sign, state.table
         base = Fraction(1)
-        while flipped:
+        if flipped:
             r = flipped.bit_length() - 1
-            flipped ^= 1 << r
             (i,), q = table.tuples[r], table.mag2s[r]
             listed[i] = -q
             base -= 2 * q

@@ -1,18 +1,18 @@
 """Exact minimal schemes at small N.
 
-Two exact searches: a branch-and-bound set cover over the canonical
-blocks for the minimal product scheme, and a rational LP feasibility
-test for the existence of a t-copy entangled scheme.  Both are
-deterministic and return verifiable witnesses.
+Two exact searches: an iteratively deepened set cover over the
+canonical blocks for the minimal product scheme, and a rational LP
+feasibility test for the existence of a t-copy entangled scheme.  Both
+are deterministic and return verifiable witnesses.
 
 The cover search breaks the symmetry of 1..N instead of exploring every
 relabelling of a partial cover (orbital branching: Ostrowski, Linderoth,
 Rossi & Smriglio, Math. Program. 126, 2011).  The vertices no chosen
 block holds and the branch pair does not hold are interchangeable, so a
 block may bring in only the lowest of them; ``min_product_cover`` gives
-the rule and its proof.  It ends as soon as it holds a cover of
+the rule and its proof.  Its first round asks for a cover of
 ``product_lower_bound(n)`` blocks, a floor proven from the coverage
-rules alone.
+rules alone, and each later round allows one block more.
 
 The entangled LP is solved in its symmetry-reduced form.  Its pair
 constraints (odd-parity mass 1/2 on every pair) are permuted among
@@ -141,21 +141,18 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
     """Exact minimum number of canonical blocks covering the complete
     graph on n, with a deterministic witness.
 
-    Branch and bound: starts from the grouping construction as the
-    incumbent, always branches on the uncovered pair {a, b} that comes
-    first in a static order (fewest covering candidates first), and
-    prunes on ceil(uncovered / max coverage).  Failed subproblems are
-    memoized by their uncovered-pair set.  The set-up lists the
+    Iterative deepening from the floor (Korf, Artif. Intell. 27, 1985):
+    a depth-first feasibility search asks for a cover of at most t
+    blocks for t = ``product_lower_bound(n)``, t + 1, ... up to one below
+    the grouping construction's size, and returns the first cover it
+    finds; when none is smaller, the construction is the answer.  The
+    search branches on the lowest uncovered pair {a, b} and prunes on
+    ceil(uncovered / max coverage) > budget.  The set-up lists the
     candidates covering each pair; it raises ResourceCapError before
     anything is built when that takes more than ``MAX_COVER_SETUP``
-    tests, and so does entering more than ``MAX_COVER_NODES`` nodes.
-
-    The search ends as soon as its incumbent meets
-    ``product_lower_bound(n)``, and does not start when the construction
-    already does (n = 3; ``nodes_explored`` is then 0).  A later cover
-    of the same size never replaces the incumbent, so this returns the
-    same witness as the search run to its end; only ``nodes_explored``
-    falls.
+    tests, and so does entering more than ``MAX_COVER_NODES`` nodes over
+    all the rounds.  When the construction already meets the floor
+    (n = 3) nothing is searched and ``nodes_explored`` is 0.
 
     Symmetry breaking.  The search carries ``touched``, the vertices of
     the blocks chosen so far; ``free`` is every vertex in neither
@@ -172,9 +169,11 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
       Permuting the free vertices, with the touched ones and a and b
       fixed, makes that block's new vertices the lowest free ones, and
       the permuted blocks are again an optimal completion of U.
-    - By induction the search from U finds an optimal completion for
-      every ``touched`` a path can carry, so the ``failed`` memo, keyed
-      by U alone, stays sound.
+    - By induction the search from U finds a completion of at most
+      budget blocks, when one exists, for every ``touched`` a path can
+      carry.  So the ``failed`` memo, which keeps for each U the largest
+      budget whose search from U failed, stays sound when keyed by U
+      alone, and from one round to the next.
     """
     if n < 3:
         if n == 2:
@@ -189,14 +188,12 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
             f"cover search set-up for n={n} takes {setup} tests, over the cap of {MAX_COVER_SETUP}"
         )
 
-    best_blocks = list(construct_product_scheme(n).blocks)
-    best_t = len(best_blocks)
+    construction = construct_product_scheme(n).blocks
     floor = product_lower_bound(n)
-    if best_t == floor:
-        return CoverSolution(t=best_t, blocks=tuple(best_blocks), nodes_explored=0)
+    if len(construction) == floor:
+        return CoverSolution(t=floor, blocks=construction, nodes_explored=0)
 
     inst = CoverInstance.build(n)
-    universe = (1 << npairs) - 1
     all_vertices = (1 << n) - 1
     cover_lists: list[list[int]] = [[] for _ in range(npairs)]
     for c, m in enumerate(inst.masks):
@@ -207,48 +204,39 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
     # Vertex bit v-1 stands for index v.
     vertex_masks = [sum(1 << (v - 1) for v in b.indices) for b in inst.candidates]
     pair_vertices = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in all_pairs(n)]
-    # Static branching order: fewest covering candidates first.
-    pair_order = sorted(range(npairs), key=lambda b: (len(cover_lists[b]), b))
     max_cover = max(6, 2 * (n - 2), n - 1)
 
     nodes = 0
     failed: dict[int, int] = {}
     chosen: list[int] = []
 
-    def dfs(uncovered: int, touched: int) -> None:
-        nonlocal best_t, best_blocks, nodes
+    def dfs(uncovered: int, touched: int, budget: int) -> bool:
+        nonlocal nodes
         nodes += 1
         if nodes > MAX_COVER_NODES:
             raise ResourceCapError(f"cover search for n={n} over {MAX_COVER_NODES} nodes")
         if uncovered == 0:
-            if len(chosen) < best_t:
-                best_t = len(chosen)
-                best_blocks = [inst.candidates[c] for c in chosen]
-            return
-        budget = best_t - 1 - len(chosen)
-        if budget <= 0:
-            return
-        if -(-uncovered.bit_count() // max_cover) > budget:
-            return
-        if failed.get(uncovered, -1) >= budget:
-            return
-        entry_best = best_t
-        branch_bit = next(b for b in pair_order if uncovered >> b & 1)
+            return True
+        if -(-uncovered.bit_count() // max_cover) > budget or failed.get(uncovered, -1) >= budget:
+            return False
+        branch_bit = (uncovered & -uncovered).bit_length() - 1
         free = all_vertices & ~(touched | pair_vertices[branch_bit])
         for c in cover_lists[branch_bit]:
             new = vertex_masks[c] & free
             if free & ((1 << new.bit_length()) - 1) != new:
                 continue
             chosen.append(c)
-            dfs(uncovered & ~inst.masks[c], touched | vertex_masks[c])
+            if dfs(uncovered & ~inst.masks[c], touched | vertex_masks[c], budget - 1):
+                return True
             chosen.pop()
-            if best_t == floor:
-                return
-        if best_t == entry_best and failed.get(uncovered, -1) < budget:
-            failed[uncovered] = budget
+        failed[uncovered] = budget
+        return False
 
-    dfs(universe, 0)
-    return CoverSolution(t=best_t, blocks=tuple(best_blocks), nodes_explored=nodes)
+    for t in range(floor, len(construction)):
+        if dfs((1 << npairs) - 1, 0, t):
+            blocks = tuple(inst.candidates[c] for c in chosen)
+            return CoverSolution(t=len(blocks), blocks=blocks, nodes_explored=nodes)
+    return CoverSolution(t=len(construction), blocks=construction, nodes_explored=nodes)
 
 
 def entangled_feasible(n: int, t: int) -> FeasibilityResult:

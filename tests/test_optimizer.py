@@ -1,5 +1,6 @@
 """Tests for the exact cover search and LP feasibility."""
 
+import hashlib
 import itertools
 import time
 from fractions import Fraction
@@ -171,6 +172,50 @@ class TestSymmetryBrokenCover:
         monkeypatch.setattr(CoverInstance, "build", None)
         with pytest.raises(ResourceCapError, match=f"takes {setup} tests"):
             min_product_cover(9)
+
+
+#: n: (sha256 of repr([(kind, indices) ...]) of the witness, nodes
+#: explored), as the branch-and-bound search of commit ff84925 found them.
+BRANCH_AND_BOUND_COVERS = {
+    3: ("b3a7c5fd5decd05e393c45ca15cbe4675e23ef6d7bb9b44d7c2d86b8d5915cf1", 0),
+    4: ("5e3e83a55b618ca4bacf64031fba9d6593402f3218c415531d3a6a15e23e9b5c", 10),
+    5: ("fe4f54daaac519d81328176d03391ec474b0a87348966246ef28fcea3e59fb4d", 42),
+    6: ("79eb396fa07585e3ed345d79abe7e1e92eba9c4cbad016cca9af097019ca1a64", 14),
+    7: ("e381a92f58f82c1857bebc6ba97746919d4e3bb4263588f228e4fcb8d8cb8933", 40),
+    8: ("499b4e43a0f628c4c9e08a36f3013170f59a0588605d3b7fb65814e271796e14", 54),
+    9: ("5b7a2160e9563bd52ea98f46f162831f60d7a0b2e08b122bf5bc78a1b0cf8125", 33),
+    10: ("f72ca64ba3731a9c049e25bc2a39aeb11b457494a3d52ba4e5ed12498d2c779c", 630),
+    11: ("2f07b738975c3c7e9516354fbdb5d626e72dd67a22fda0ac66cfa04bedbae7ac", 792),
+    12: ("1a338d1f4a50d09136f940e50b563113ad205ecb296fa07d5fb93633c0240d59", 831),
+    13: ("dd856a49becdc55706de540df15b2eb00f087aaae1fde73e9b51123fb130d6d3", 77485),
+    14: ("a90969fb98df9d832b4c28517a237feb812db1384e5d1fe47e6a966779f4ec3b", 110318),
+    15: ("4d2c29948b4f294db26e2d888aaf0767bb9cf6f762d585c4ecd05d0c3d967e2d", 148511),
+}
+
+
+class TestIterativeDeepening:
+    @pytest.mark.parametrize("n", sorted(BRANCH_AND_BOUND_COVERS))
+    def test_same_witness_as_branch_and_bound(self, n):
+        """Both searches take candidates in the same depth-first order and
+        prune only subtrees with no cover of the target size, so the
+        first minimum cover is the same, block for block."""
+        digest, nodes = BRANCH_AND_BOUND_COVERS[n]
+        sol = min_product_cover(n, max_n=15)
+        blocks = repr([(b.kind, b.indices) for b in sol.blocks])
+        assert hashlib.sha256(blocks.encode()).hexdigest() == digest
+        assert sol.nodes_explored <= nodes
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_every_pair_has_the_same_number_of_candidates(self, n):
+        """The candidates covering a pair: 2(n-2) pair blocks, C(n-2, 2)
+        quads and two stars (all four at n = 4).  No pair is rarer than
+        another, so a fewest-candidates-first order is no order at all."""
+        inst = CoverInstance.build(n)
+        counts = {
+            sum(m >> b & 1 for m in inst.masks) for b in range(n * (n - 1) // 2)
+        }
+        stars = 4 if n == 4 else 2
+        assert counts == {2 * (n - 2) + (n - 2) * (n - 3) // 2 + stars}
 
 
 class TestProductLowerBound:

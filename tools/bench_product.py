@@ -1,11 +1,12 @@
 """Scale rows for product schemes, verification and the exact cover
 search: a baseline checkout against this one.
 
-    python3 tools/bench_product.py BASELINE_SRC > BENCH_product.json
+    python3 tools/bench_product.py BASELINE_SRC [BASELINE_COMMIT] > BENCH_product.json
 
 BASELINE_SRC is the ``src`` directory of the commit to compare against,
-for example from ``git archive <commit> | tar -x -C DIR``; this
-checkout's ``src`` is the change.  For each side, ``in_process_s`` times
+for example from ``git archive <commit> | tar -x -C DIR``, and
+BASELINE_COMMIT, if given, is recorded as its name; this checkout's
+``src`` is the change.  For each side, ``in_process_s`` times
 the library call alone in a fresh interpreter (``verify_product`` after
 the file is parsed, or ``min_product_cover``), and ``cold_s`` times a
 whole ``python -m groverid`` subprocess (``verify --scheme FILE``, or
@@ -132,7 +133,9 @@ def main() -> None:
         rows.append({"case": "search --mode product", "n": n,
                      **{name: search_side(src, n) for name, src in sides}})
         print(json.dumps(rows[-1]), file=sys.stderr)
+    head = {"baseline_commit": sys.argv[2]} if len(sys.argv) > 2 else {}
     print(json.dumps({
+        **head,
         "command": "python3 tools/bench_product.py BASELINE_SRC",
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
