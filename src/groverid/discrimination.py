@@ -150,6 +150,20 @@ class CanonicalBlock:
     def __post_init__(self):
         kind, indices, n = self.kind, self.indices, self.n
         size = self._SIZES.get(kind)
+        # Fast accept: a tuple of the kind's size, 1 <= i1 < ... < ik <= n.
+        # Anything else, and a comparison of unorderable values, is left
+        # to the checks below, so they alone reject and name the reason.
+        try:
+            if type(indices) is tuple and len(indices) == size and n >= self._MIN_N[kind]:
+                match indices:
+                    case (i,) if 1 <= i <= n:
+                        return
+                    case (i, j) if 1 <= i < j <= n:
+                        return
+                    case (i, j, k, l) if 1 <= i < j < k < l <= n:
+                        return
+        except TypeError:
+            pass
         if size is None:
             raise ValueError(f"unknown block kind {kind!r}")
         if n < self._MIN_N[kind]:

@@ -12,7 +12,10 @@ block holds and the branch pair does not hold are interchangeable, so a
 block may bring in only the lowest of them; ``min_product_cover`` gives
 the rule and its proof.  Its first round asks for a cover of
 ``product_lower_bound(n)`` blocks, a floor proven from the coverage
-rules alone, and each later round allows one block more.
+rules alone, and each later round allows one block more.  Its set-up is
+lazy: a pair's candidates are listed from the pair's two ends the first
+time the search branches on it, and a candidate becomes a block with a
+pair mask only when the search first tries it.
 
 The entangled LP is solved in its symmetry-reduced form.  Its pair
 constraints (odd-parity mass 1/2 on every pair) are permuted among
@@ -33,6 +36,7 @@ x_l uniformly over the l-subsets of 1..N: a pair is split by
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,6 +48,7 @@ from .oracle import Composition, enumerate_compositions
 from .schemes import (
     WeightProfile,
     construct_product_scheme,
+    construction_size,
     general_lower_bound,
 )
 from .simplex import HALF, ONE, phase1_feasible
@@ -55,23 +60,56 @@ DEFAULT_COVER_CAP = 9
 MAX_COVER_NODES = 5 * 10**6
 
 #: Most (pair, candidate block) tests the cover search's set-up may make:
-#: C(n,2) * (C(n,2) + C(n,4) + n), which lets n <= 20 through.
+#: C(n,2) * (C(n,2) + C(n,4) + n), a bound on the worst case of its
+#: on-demand lists (every pair listed), which lets n <= 20 through.
 MAX_COVER_SETUP = 10**6
 
 
 @dataclass(frozen=True)
 class CoverInstance:
     """Set-cover instance: all C(n,2) pairs as the universe and every
-    canonical block as a candidate, in the fixed pair < quad < star order."""
+    canonical block as a candidate, in the fixed pair < quad < star order.
+
+    Nothing is listed when it is built: ``covering`` lists the candidates
+    of one pair from its two ends alone.  ``candidates`` and ``masks``,
+    every block with its pair mask, are made on first access."""
 
     n: int
-    candidates: tuple[CanonicalBlock, ...]
-    masks: tuple[int, ...]
 
     @classmethod
     def build(cls, n: int) -> "CoverInstance":
-        candidates = tuple(candidate_blocks(n))
-        return cls(n, candidates, tuple(block_graph(b).mask for b in candidates))
+        return cls(n)
+
+    def covering(self, a: int, b: int) -> list[tuple[int, str, tuple[int, ...]]]:
+        """(vertex mask, kind, indices) of every candidate covering the
+        pair a < b, in candidate order: the pair blocks with exactly one
+        end in {a, b}, the quads holding both, and the stars at a and b
+        (all four at n = 4).  Vertex bit v-1 stands for index v."""
+        n = self.n
+        bit = [0] + [1 << v for v in range(n)]
+        ends = bit[a] | bit[b]
+        others = [v for v in range(1, n + 1) if v != a and v != b]
+        pairs = sorted((min(u, v), max(u, v)) for u in (a, b) for v in others)
+        stars = range(1, 5) if n == 4 else (a, b)
+        # Two sets of one size compare by the least element of their
+        # difference, which adding {a, b} leaves alone: the quads come
+        # out in the order of the pairs of ``others``.
+        return (
+            [(bit[i] | bit[j], "pair", (i, j)) for i, j in pairs]
+            + [
+                (ends | bit[c] | bit[d], "quad", tuple(sorted((a, b, c, d))))
+                for c, d in itertools.combinations(others, 2)
+            ]
+            + [(bit[v], "star", (v,)) for v in stars]
+        )
+
+    @functools.cached_property
+    def candidates(self) -> tuple[CanonicalBlock, ...]:
+        return tuple(candidate_blocks(self.n))
+
+    @functools.cached_property
+    def masks(self) -> tuple[int, ...]:
+        return tuple(block_graph(b).mask for b in self.candidates)
 
 
 @dataclass(frozen=True)
@@ -147,12 +185,17 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
     the grouping construction's size, and returns the first cover it
     finds; when none is smaller, the construction is the answer.  The
     search branches on the lowest uncovered pair {a, b} and prunes on
-    ceil(uncovered / max coverage) > budget.  The set-up lists the
-    candidates covering each pair; it raises ResourceCapError before
-    anything is built when that takes more than ``MAX_COVER_SETUP``
-    tests, and so does entering more than ``MAX_COVER_NODES`` nodes over
-    all the rounds.  When the construction already meets the floor
-    (n = 3) nothing is searched and ``nodes_explored`` is 0.
+    ceil(uncovered / max coverage) > budget.  Nothing is set up in
+    advance: ``CoverInstance.covering`` lists the candidates covering a
+    pair the first time the search branches on it, and a candidate's
+    block and pair mask (``block_graph``) are made the first time it
+    passes the symmetry rule below.  ResourceCapError is raised
+    before anything is built when listing every pair could take more
+    than ``MAX_COVER_SETUP`` tests, and on entering more than
+    ``MAX_COVER_NODES`` nodes over all the rounds.  When the construction
+    already meets the floor (n = 3) nothing is searched and
+    ``nodes_explored`` is 0; the construction is built only when it is
+    the answer.
 
     Symmetry breaking.  The search carries ``touched``, the vertices of
     the blocks chosen so far; ``free`` is every vertex in neither
@@ -188,23 +231,36 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
             f"cover search set-up for n={n} takes {setup} tests, over the cap of {MAX_COVER_SETUP}"
         )
 
-    construction = construct_product_scheme(n).blocks
+    size = construction_size(n)
     floor = product_lower_bound(n)
-    if len(construction) == floor:
-        return CoverSolution(t=floor, blocks=construction, nodes_explored=0)
+    if size == floor:
+        return CoverSolution(t=floor, blocks=construct_product_scheme(n).blocks, nodes_explored=0)
 
     inst = CoverInstance.build(n)
     all_vertices = (1 << n) - 1
-    cover_lists: list[list[int]] = [[] for _ in range(npairs)]
-    for c, m in enumerate(inst.masks):
-        while m:
-            low = m & -m
-            cover_lists[low.bit_length() - 1].append(c)
-            m ^= low
-    # Vertex bit v-1 stands for index v.
-    vertex_masks = [sum(1 << (v - 1) for v in b.indices) for b in inst.candidates]
-    pair_vertices = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in all_pairs(n)]
+    pairs = all_pairs(n)
+    pair_vertices = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in pairs]
     max_cover = max(6, 2 * (n - 2), n - 1)
+    # Set up on demand.  A candidate gets an id when a pair's list first
+    # holds it, and its block and pair mask (0 until then) when it is
+    # first tried; its vertex mask tells it apart.
+    cover_lists: list[list[int] | None] = [None] * npairs
+    ids: dict[int, int] = {}
+    vertex_masks: list[int] = []
+    specs: list[tuple[str, tuple[int, ...]]] = []
+    graphs: list[int] = []
+    blocks: dict[int, CanonicalBlock] = {}
+
+    def listed(k: int) -> list[int]:
+        cover = []
+        for vertices, kind, indices in inst.covering(*pairs[k]):
+            if vertices not in ids:
+                ids[vertices] = len(specs)
+                vertex_masks.append(vertices)
+                specs.append((kind, indices))
+                graphs.append(0)
+            cover.append(ids[vertices])
+        return cover
 
     nodes = 0
     failed: dict[int, int] = {}
@@ -221,22 +277,29 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
             return False
         branch_bit = (uncovered & -uncovered).bit_length() - 1
         free = all_vertices & ~(touched | pair_vertices[branch_bit])
-        for c in cover_lists[branch_bit]:
+        candidates = cover_lists[branch_bit]
+        if candidates is None:
+            candidates = cover_lists[branch_bit] = listed(branch_bit)
+        for c in candidates:
             new = vertex_masks[c] & free
             if free & ((1 << new.bit_length()) - 1) != new:
                 continue
+            mask = graphs[c]
+            if not mask:
+                block = blocks[c] = CanonicalBlock(*specs[c], n)
+                mask = graphs[c] = block_graph(block).mask
             chosen.append(c)
-            if dfs(uncovered & ~inst.masks[c], touched | vertex_masks[c], budget - 1):
+            if dfs(uncovered & ~mask, touched | vertex_masks[c], budget - 1):
                 return True
             chosen.pop()
         failed[uncovered] = budget
         return False
 
-    for t in range(floor, len(construction)):
+    for t in range(floor, size):
         if dfs((1 << npairs) - 1, 0, t):
-            blocks = tuple(inst.candidates[c] for c in chosen)
-            return CoverSolution(t=len(blocks), blocks=blocks, nodes_explored=nodes)
-    return CoverSolution(t=len(construction), blocks=construction, nodes_explored=nodes)
+            cover = tuple(blocks[c] for c in chosen)
+            return CoverSolution(t=len(cover), blocks=cover, nodes_explored=nodes)
+    return CoverSolution(t=size, blocks=construct_product_scheme(n).blocks, nodes_explored=nodes)
 
 
 def entangled_feasible(n: int, t: int) -> FeasibilityResult:

@@ -82,6 +82,24 @@ def sample_manifold_state(rng, n):
     return exact_state_from_mag2(n, mag2)
 
 
+def reference_block_checks(kind, indices, n):
+    """CanonicalBlock's checks without its fast accept, in their order."""
+    sizes, min_n = {"quad": 4, "pair": 2, "star": 1}, {"quad": 4, "pair": 2, "star": 3}
+    size = sizes.get(kind)
+    if size is None:
+        raise ValueError(f"unknown block kind {kind!r}")
+    if n < min_n[kind]:
+        raise ValueError(f"{kind} block needs n >= {min_n[kind]}")
+    if len(indices) != size:
+        raise ValueError(f"{kind} block needs {size} indices")
+    if len(set(indices)) != size:
+        raise ValueError(f"block indices must be distinct: {indices}")
+    if min(indices) < 1 or max(indices) > n:
+        raise ValueError(f"block indices {indices} out of range 1..{n}")
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise ValueError("block indices must be sorted ascending")
+
+
 class TestCopyDiscriminates:
     def test_quad_pair_true(self):
         s = block_state(CanonicalBlock.quad(1, 2, 3, 4, 6))
@@ -183,6 +201,27 @@ class TestBlockState:
         with pytest.raises(ValueError) as info:
             CanonicalBlock(kind, indices, n)
         assert str(info.value) == message
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        kind=st.sampled_from(["pair", "quad", "star", "hex", ""]),
+        entries=st.lists(st.integers(-2, 10) | st.booleans() | st.none(), max_size=5)
+        | st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True).map(sorted),
+        as_list=st.booleans(),
+        n=st.integers(-1, 9) | st.booleans() | st.none(),
+    )
+    def test_fast_accept_decides_as_the_checks_do(self, kind, entries, as_list, n):
+        """The fast accept of a well-formed block changes no verdict and
+        no error: a copy of the checks alone decides the same way."""
+        indices = list(entries) if as_list else tuple(entries)
+        try:
+            reference_block_checks(kind, indices, n)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as info:
+                CanonicalBlock(kind, indices, n)
+            assert str(info.value) == str(exc)
+        else:
+            assert CanonicalBlock(kind, indices, n).indices == indices
 
 
 class TestBlockGraph:

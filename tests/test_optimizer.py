@@ -218,6 +218,44 @@ class TestIterativeDeepening:
         assert counts == {2 * (n - 2) + (n - 2) * (n - 3) // 2 + stars}
 
 
+class TestLazyCoverInstance:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_lists_match_the_eager_instance(self, n):
+        """Each pair's on-demand list holds the candidates whose eager
+        mask covers it, as blocks in candidate order, each with its
+        vertex mask; a block made from an entry has the eager mask."""
+        inst = CoverInstance.build(n)
+        for k, (a, b) in enumerate(all_pairs(n)):
+            listed = inst.covering(a, b)
+            eager = [c for c, m in enumerate(inst.masks) if m >> k & 1]
+            blocks = [CanonicalBlock(kind, indices, n) for _, kind, indices in listed]
+            assert blocks == [inst.candidates[c] for c in eager]
+            for (vertices, _, indices), block, c in zip(listed, blocks, eager):
+                assert vertices == sum(1 << (v - 1) for v in indices)
+                assert block_graph(block).mask == inst.masks[c]
+
+    @pytest.mark.parametrize("n, tried, candidates", [(8, 24, 106), (9, 32, 171), (10, 157, 265)])
+    def test_only_tried_candidates_get_a_graph(self, monkeypatch, n, tried, candidates):
+        """The search makes one graph per candidate it tries, not one per
+        candidate: an eager set-up would make all of them."""
+        graphs = []
+
+        def counted(block):
+            graphs.append(block)
+            return block_graph(block)
+
+        monkeypatch.setattr(optimizer, "block_graph", counted)
+        min_product_cover(n, max_n=10)
+        assert len(list(candidate_blocks(n))) == candidates
+        assert len(set(graphs)) == len(graphs) <= tried
+
+    def test_construction_is_built_only_when_it_is_the_answer(self, monkeypatch):
+        expected = {n: min_product_cover(n, max_n=10) for n in range(4, 11)}
+        monkeypatch.setattr(optimizer, "construct_product_scheme", None)
+        for n, sol in expected.items():
+            assert min_product_cover(n, max_n=10) == sol
+
+
 class TestProductLowerBound:
     def test_values(self):
         assert [product_lower_bound(n) for n in range(3, 17)] == [

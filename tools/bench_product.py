@@ -59,7 +59,7 @@ print(json.dumps(dict(out, s=time.perf_counter() - start)))
 """
 
 VERIFY_SIZES = (1000, 4472)
-SEARCH_SIZES = range(9, 17)
+SEARCH_SIZES = range(8, 17)
 
 
 def _run(argv: list[str], src: Path) -> tuple[float, subprocess.CompletedProcess]:
