@@ -13,12 +13,14 @@ output state's sign bits.  A product scheme runs one block at a time.
 Its input is a tensor product of one-copy states and every oracle is
 diagonal, so each candidate overlap is a product over blocks of
 one-copy sums: the box gets each block's one-copy state as its own
-query, and no multi-copy state is built.  A weight profile's t queries
-run on its expanded t-copy state; its candidate overlaps then come from
-the integer parity columns that its verifier reads, one popcount per
-mass class, not from n candidate states.  The matched candidate's
-overlap is taken once more from its tensor state as a check.  Both
-paths share one classification loop.
+query, and no multi-copy state is built.  Each sum is a small integer
+over the block's denominator (2, 4 or 2(n-2)), so every overlap is an
+integer product over one common denominator.  A weight profile's t
+queries run on its expanded t-copy state; its candidate overlaps then
+come from the integer parity columns that its verifier reads, one
+popcount per mass class, not from n candidate states.  The matched
+candidate's overlap is taken once more from its tensor state as a
+check.  Both paths share one classification loop.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .discrimination import CanonicalBlock, all_pairs, pair_count
+from .discrimination import all_pairs, pair_count
 from .exceptions import AmbiguousClassificationError, ResourceCapError
 from .oracle import (
     AmpState,
@@ -68,6 +70,9 @@ class OracleBlackBox:
 
 @dataclass(frozen=True)
 class IdentificationRun:
+    """A classified run.  ``per_candidate_overlaps`` holds the magnitudes
+    |<O_k psi|out>| for k = 1..n, not the signed overlaps."""
+
     n: int
     scheme: Scheme
     hidden_queries_used: int
@@ -164,48 +169,28 @@ def _column_overlaps(scheme: WeightProfile, out: AmpState) -> list[Fraction]:
     return [Fraction(total, scheme.denominator) for total in totals]
 
 
-def _block_query(b: CanonicalBlock, singles: list[tuple[int]]) -> tuple[AmpState, Fraction, dict]:
-    """Block b's one-copy state from the closed-form moduli of
-    ``block_state``, the modulus shared by every index it does not list,
-    and the moduli of those it lists: a pair or quad lists its support
-    and shares 0, a star lists its centre and shares 1/(2(n-2)).
-    ``singles[i - 1]`` is the tuple (i,).
-    """
-    n = b.n
-    if b.kind != "star":
-        q = Fraction(1, len(b.indices))
-        listed = dict.fromkeys(b.indices, q)
-        table = StateTable(n, 1, [singles[i - 1] for i in b.indices], listed.values())
-        return AmpState.on(table), Fraction(0), listed
-    centre = b.indices[0]
-    shared, own = Fraction(1, 2 * (n - 2)), Fraction(n - 3, 2 * (n - 2))
-    mag2s = [shared] * n
-    mag2s[centre - 1] = own
-    rows = singles
-    if not own:  # n = 3: the centre has modulus 0, so no row
-        rows, mag2s = singles[:centre - 1] + singles[centre:], mag2s[:centre - 1] + mag2s[centre:]
-    return AmpState.on(StateTable(n, 1, rows, mag2s)), shared, {centre: own}
-
-
 def _product_overlaps(scheme: ProductScheme, box: OracleBlackBox) -> list[Fraction]:
     """The n candidate overlaps of a product scheme, one block at a time.
 
-    Block b's state phi_b goes through the box as one one-copy query.
-    Its rows are the distinct tuples (i,), so the output's sign names at
-    most one flipped row; w_b(i) is |phi_b(i)|^2 with the output's sign
-    on index i.  Candidate k's overlap is the product over blocks of
-    base_b - 2 w_b(k), where base_b = sum_i w_b(i) = 1 - 2 (the flipped
-    modulus, or 0).  The indices that ``_block_query`` does not list and
-    the box did not flip share one w_b, so one factor.  So each
-    candidate takes the product of the nonzero shared factors, a count
-    of the zero ones, and its own factors in the blocks that list or
-    flip it: O(n + listed and flipped entries) Fraction operations in
-    all, a star two or three, none a division by zero, each value
-    exactly the tensor-state overlap.
+    Block b's state goes through the box as one one-copy query on its
+    own table of rows (i,), so the output's sign names at most one
+    flipped row.  Its moduli are integer numerators over d_b, as in
+    ``block_state``: a pair (d_b = 2) or quad (4) lists 1 on its support
+    and shares 0 elsewhere; a star (2(n-2)) lists n-3 on its centre,
+    which has no row at n = 3, and shares 1.  With w_b(i) the numerator
+    at i, negated if flipped, candidate k's overlap is the product over
+    blocks of (base_b - 2 w_b(k)) / d_b, base_b = d_b - 2 (the flipped
+    numerator, or 0).  An index that b neither lists nor flips takes the
+    common factor base_b - 2 shared_b.  So the loop keeps ints only: P,
+    the product of the nonzero common factors, a count of the zero ones,
+    and per candidate k the product num_k of its own factors and den_k
+    of the nonzero common factors they replace.  The overlap is
+    (P // den_k) num_k / prod_b d_b, exactly the tensor-state overlap,
+    if k's blocks hold every zero common factor, and 0 otherwise.
 
     The pair cap comes first, as in ``block_state``, and also bounds the
     n-sized lists; the support entries (a pair 2, a quad 4, a star n) are
-    capped at ``MAX_TUPLES`` before any block state is built.
+    capped at ``MAX_TUPLES`` before any block table is built.
     """
     n = scheme.n
     pair_count(n)
@@ -215,31 +200,45 @@ def _product_overlaps(scheme: ProductScheme, box: OracleBlackBox) -> list[Fracti
             f"{entries} support entries in {scheme.t} blocks exceeds cap {MAX_TUPLES}"
         )
     singles = [(i,) for i in range(1, n + 1)]
-    product, zeros = Fraction(1), 0
-    ratio = [Fraction(1)] * (n + 1)  # k's own factors over the shared ones they replace
-    zeros_held = [0] * (n + 1)  # zero shared factors in the blocks that list k
+    moduli = {2: [Fraction(1, 2)] * 2, 4: [Fraction(1, 4)] * 4}  # a pair's, a quad's
+    star_d = 2 * (n - 2)
+    if n > 2:  # a star needs n >= 3
+        star_modulus, centre_modulus = Fraction(1, star_d), Fraction(n - 3, star_d)
+    product, zeros, denominator = 1, 0, 1
+    num = [1] * (n + 1)  # k's own factors
+    den = [1] * (n + 1)  # the nonzero common factors they replace
+    zeros_held = [0] * (n + 1)  # the zero common factors they replace
     for b in scheme.blocks:
-        state, shared, listed = _block_query(b, singles)
-        flipped, table = box.apply(state, 1).sign, state.table
-        base = Fraction(1)
+        if b.kind == "star":
+            centre = b.indices[0]
+            d, shared, listed = star_d, 1, {centre: n - 3}
+            rows, mag2s = singles, [star_modulus] * n
+            if n == 3:  # the centre has modulus 0, so no row
+                rows, mag2s = singles[:centre - 1] + singles[centre:], mag2s[1:]
+            else:
+                mag2s[centre - 1] = centre_modulus
+            table = StateTable(n, 1, rows, mag2s)
+        else:
+            d, shared, listed = len(b.indices), 0, dict.fromkeys(b.indices, 1)
+            table = StateTable(n, 1, [singles[i - 1] for i in b.indices], moduli[d])
+        flipped = box.apply(AmpState.on(table), 1).sign
+        base = d
         if flipped:
-            r = flipped.bit_length() - 1
-            (i,), q = table.tuples[r], table.mag2s[r]
+            (i,) = table.tuples[flipped.bit_length() - 1]
+            q = listed.get(i, shared)
             listed[i] = -q
             base -= 2 * q
         common = base - 2 * shared
-        if common:
-            product *= common
-        else:
-            zeros += 1
-        # one exact division per distinct term, not per index; a zero
-        # factor is counted instead of divided out
-        own = {w: (base - 2 * w) / (common or 1) for w in set(listed.values())}
+        product, zeros = product * (common or 1), zeros + (not common)
         for i, w in listed.items():
-            ratio[i] *= own[w]
+            num[i] *= base - 2 * w
+            den[i] *= common or 1
             zeros_held[i] += not common
+        denominator *= d
+    zero = Fraction(0)
     return [
-        product * ratio[k] if zeros == zeros_held[k] else Fraction(0)
+        Fraction(product // den[k] * num[k], denominator)
+        if num[k] and zeros_held[k] == zeros else zero
         for k in range(1, n + 1)
     ]
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bent import bent_witness
+from fraction_overlaps import fraction_overlaps
 from groverid.discrimination import CanonicalBlock, candidate_blocks
 from groverid.exceptions import AmbiguousClassificationError
 from groverid.identifier import (
@@ -228,6 +229,25 @@ class TestBlockByBlock:
             got = _product_overlaps(scheme, box)
             assert box.calls == scheme.t
             assert got == [overlap(out, outputs[h - 1]) for out in outputs]
+
+    @settings(max_examples=150, deadline=None)
+    @given(scheme=product_schemes())
+    def test_integer_factors_match_fraction_reference(self, scheme):
+        """Every block counts, with no tensor-size cut: the integer
+        factors give the Fraction reference's list for every hidden h."""
+        for h in range(1, scheme.n + 1):
+            got = _product_overlaps(scheme, OracleBlackBox(GroverOracle(scheme.n, h)))
+            assert got == fraction_overlaps(scheme, OracleBlackBox(GroverOracle(scheme.n, h)))
+            assert all(type(value) is Fraction for value in got)
+
+    def test_integer_factors_on_the_largest_construction(self):
+        n = 4472
+        stars = [CanonicalBlock.star(c, n) for c in range(1, 41)]
+        scheme = ProductScheme(n, stars + list(construct_product_scheme(n).blocks))
+        for h in (1, 40, 41, n):
+            got = _product_overlaps(scheme, OracleBlackBox(GroverOracle(n, h)))
+            assert got == fraction_overlaps(scheme, OracleBlackBox(GroverOracle(n, h)))
+            assert all(type(value) is Fraction for value in got)
 
     def test_stars_on_the_largest_construction(self):
         """40 stars tensor the n = 4472 construction: 184,844 support

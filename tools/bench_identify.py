@@ -14,8 +14,8 @@ n/2.  For each side,
 interpreter after the file is parsed, and ``cold_s`` times a whole
 ``python -m groverid identify --n N --hidden K --scheme FILE``
 subprocess, whose stdout is recorded as a sha256 digest so the two
-sides can be seen to answer alike.  Each figure is the median of three
-runs, or of the runs made before one took more than 20 s.
+sides can be seen to answer alike.  Each figure is the minimum of
+five runs, the sides alternating (``alternate.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import hashlib
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -34,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from alternate import alternate  # noqa: E402
 from bent import bent_witness  # noqa: E402
 from groverid.discrimination import CanonicalBlock  # noqa: E402
 from groverid.optimizer import entangled_feasible  # noqa: E402
@@ -85,15 +85,9 @@ def _run(argv: list[str], src: Path) -> tuple[float, str]:
     return time.perf_counter() - start, proc.stdout
 
 
-def _median(measure) -> tuple[float, int]:
-    times = []
-    while len(times) < 3 and sum(times) <= 20:
-        times.append(measure())
-    return statistics.median(times), len(times)
-
-
-def measure_side(src: Path, path: str, n: int, hidden: int) -> dict:
-    digests = set()
+def measures(src: Path, path: str, n: int, hidden: int, digests: set) -> dict:
+    """One side's two timed runs, by field; a cold run adds its stdout's
+    digest to ``digests``."""
 
     def in_process() -> float:
         result = json.loads(_run([sys.executable, "-c", IN_PROCESS, path, str(hidden)], src)[1])
@@ -108,29 +102,29 @@ def measure_side(src: Path, path: str, n: int, hidden: int) -> dict:
         digests.add(hashlib.sha256(out.encode()).hexdigest())
         return seconds
 
-    (in_s, in_runs), (cold_s, cold_runs) = _median(in_process), _median(cold)
-    (digest,) = digests
-    return {"in_process_s": round(in_s, 4), "cold_s": round(cold_s, 3),
-            "runs": [in_runs, cold_runs], "stdout_sha256": digest}
+    return {"in_process_s": in_process, "cold_s": cold}
 
 
 def main() -> None:
-    baseline = Path(sys.argv[1]).resolve()
+    sides = (("baseline", Path(sys.argv[1]).resolve()), ("change", ROOT / "src"))
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, build in CASES:
+        for case, build in CASES:
             scheme = build()
             hidden = scheme.n // 2
             path = str(Path(tmp) / "scheme.json")
             Path(path).write_text(json.dumps(scheme_to_doc(scheme)))
+            digests = {name: set() for name, _ in sides}
+            times = alternate({name: measures(src, path, scheme.n, hidden, digests[name])
+                               for name, src in sides})
             rows.append({
-                "case": name,
+                "case": case,
                 "n": scheme.n,
                 "t": scheme.t,
                 "hidden": hidden,
                 **describe(scheme),
-                "baseline": measure_side(baseline, path, scheme.n, hidden),
-                "change": measure_side(ROOT / "src", path, scheme.n, hidden),
+                **{name: dict(times[name], stdout_sha256=digest)
+                   for name, (digest,) in digests.items()},
             })
             print(json.dumps(rows[-1]), file=sys.stderr)
     head = {"baseline_commit": sys.argv[2]} if len(sys.argv) > 2 else {}

@@ -12,8 +12,8 @@ the file is parsed, or ``min_product_cover``), and ``cold_s`` times a
 whole ``python -m groverid`` subprocess (``verify --scheme FILE``, or
 ``search --n N --mode product --max-n N``).  Search rows also record the
 exit code, ``min_t`` and ``nodes_explored``, or the resource-cap detail.
-Each time is the median of three runs, or of the runs made before one
-took more than 20 s.
+Each time is the minimum of five runs, the sides alternating
+(``alternate.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -31,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from alternate import alternate  # noqa: E402
 from groverid.schemes import construct_product_scheme  # noqa: E402
 from groverid.serialize import scheme_to_doc  # noqa: E402
 
@@ -69,20 +69,7 @@ def _run(argv: list[str], src: Path) -> tuple[float, subprocess.CompletedProcess
     return time.perf_counter() - start, proc
 
 
-def _median(measure) -> tuple[float, int]:
-    times = []
-    while len(times) < 3 and sum(times) <= 20:
-        times.append(measure())
-    return statistics.median(times), len(times)
-
-
-def _side(in_process, cold) -> dict:
-    (in_s, in_runs), (cold_s, cold_runs) = _median(in_process), _median(cold)
-    return {"in_process_s": round(in_s, 4), "cold_s": round(cold_s, 3),
-            "runs": [in_runs, cold_runs]}
-
-
-def verify_side(src: Path, path: str) -> dict:
+def verify_measures(src: Path, path: str) -> dict:
     def in_process() -> float:
         _, proc = _run([sys.executable, "-c", VERIFY, path], src)
         result = json.loads(proc.stdout)
@@ -94,11 +81,11 @@ def verify_side(src: Path, path: str) -> dict:
         assert proc.returncode == 0 and json.loads(proc.stdout)["valid"], path
         return seconds
 
-    return _side(in_process, cold)
+    return {"in_process_s": in_process, "cold_s": cold}
 
 
-def search_side(src: Path, n: int) -> dict:
-    answer: dict = {}
+def search_measures(src: Path, n: int, answer: dict) -> dict:
+    """The two timed runs of a search; they record its answer in ``answer``."""
 
     def in_process() -> float:
         _, proc = _run([sys.executable, "-c", SEARCH, str(n)], src)
@@ -114,7 +101,7 @@ def search_side(src: Path, n: int) -> dict:
         answer["exit"] = proc.returncode
         return seconds
 
-    return dict(_side(in_process, cold), **answer)
+    return {"in_process_s": in_process, "cold_s": cold}
 
 
 def main() -> None:
@@ -127,11 +114,13 @@ def main() -> None:
             path = str(Path(tmp) / f"construction{n}.json")
             Path(path).write_text(json.dumps(scheme_to_doc(scheme)))
             rows.append({"case": "verify construction", "n": n, "blocks": scheme.t,
-                         **{name: verify_side(src, path) for name, src in sides}})
+                         **alternate({name: verify_measures(src, path) for name, src in sides})})
             print(json.dumps(rows[-1]), file=sys.stderr)
     for n in SEARCH_SIZES:
+        answers = {name: {} for name, _ in sides}
+        times = alternate({name: search_measures(src, n, answers[name]) for name, src in sides})
         rows.append({"case": "search --mode product", "n": n,
-                     **{name: search_side(src, n) for name, src in sides}})
+                     **{name: dict(times[name], **answers[name]) for name, _ in sides}})
         print(json.dumps(rows[-1]), file=sys.stderr)
     head = {"baseline_commit": sys.argv[2]} if len(sys.argv) > 2 else {}
     print(json.dumps({
