@@ -36,13 +36,12 @@ x_l uniformly over the l-subsets of 1..N: a pair is split by
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .discrimination import CanonicalBlock, all_pairs, block_graph, candidate_blocks
+from .discrimination import CanonicalBlock, all_pairs, block_graph
 from .exceptions import IndistinguishableError, ResourceCapError
 from .oracle import Composition, enumerate_compositions
 from .schemes import (
@@ -71,8 +70,7 @@ class CoverInstance:
     canonical block as a candidate, in the fixed pair < quad < star order.
 
     Nothing is listed when it is built: ``covering`` lists the candidates
-    of one pair from its two ends alone.  ``candidates`` and ``masks``,
-    every block with its pair mask, are made on first access."""
+    of one pair from its two ends alone."""
 
     n: int
 
@@ -102,14 +100,6 @@ class CoverInstance:
             ]
             + [(bit[v], "star", (v,)) for v in stars]
         )
-
-    @functools.cached_property
-    def candidates(self) -> tuple[CanonicalBlock, ...]:
-        return tuple(candidate_blocks(self.n))
-
-    @functools.cached_property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(block_graph(b).mask for b in self.candidates)
 
 
 @dataclass(frozen=True)

@@ -82,13 +82,19 @@ def brute_min_cover_bitmask(n, t_limit):
     return None
 
 
+def eager_candidates(n):
+    """Every candidate block in candidate order, and its pair mask."""
+    blocks = list(candidate_blocks(n))
+    return blocks, [block_graph(b).mask for b in blocks]
+
+
 def unpruned_min_cover(n):
     """The cover search without symmetry breaking or node budget: every
     candidate covering the branch pair is tried, so every relabelling of
     a partial cover is explored.  Same incumbent, order, bound and memo."""
-    inst = CoverInstance.build(n)
+    candidates, masks = eager_candidates(n)
     npairs = n * (n - 1) // 2
-    cover_lists = [[c for c, m in enumerate(inst.masks) if m >> b & 1] for b in range(npairs)]
+    cover_lists = [[c for c, m in enumerate(masks) if m >> b & 1] for b in range(npairs)]
     pair_order = sorted(range(npairs), key=lambda b: (len(cover_lists[b]), b))
     max_cover = max(6, 2 * (n - 2), n - 1)
     incumbent = construct_product_scheme(n).blocks
@@ -101,7 +107,7 @@ def unpruned_min_cover(n):
         if uncovered == 0:
             if len(chosen) < best["t"]:
                 best["t"] = len(chosen)
-                best["blocks"] = tuple(inst.candidates[c] for c in chosen)
+                best["blocks"] = tuple(candidates[c] for c in chosen)
             return
         budget = best["t"] - 1 - len(chosen)
         if budget <= 0 or -(-uncovered.bit_count() // max_cover) > budget:
@@ -112,7 +118,7 @@ def unpruned_min_cover(n):
         branch_bit = next(b for b in pair_order if uncovered >> b & 1)
         for c in cover_lists[branch_bit]:
             chosen.append(c)
-            dfs(uncovered & ~inst.masks[c])
+            dfs(uncovered & ~masks[c])
             chosen.pop()
         if best["t"] == entry_best and failed.get(uncovered, -1) < budget:
             failed[uncovered] = budget
@@ -210,9 +216,9 @@ class TestIterativeDeepening:
         """The candidates covering a pair: 2(n-2) pair blocks, C(n-2, 2)
         quads and two stars (all four at n = 4).  No pair is rarer than
         another, so a fewest-candidates-first order is no order at all."""
-        inst = CoverInstance.build(n)
+        _, masks = eager_candidates(n)
         counts = {
-            sum(m >> b & 1 for m in inst.masks) for b in range(n * (n - 1) // 2)
+            sum(m >> b & 1 for m in masks) for b in range(n * (n - 1) // 2)
         }
         stars = 4 if n == 4 else 2
         assert counts == {2 * (n - 2) + (n - 2) * (n - 3) // 2 + stars}
@@ -225,14 +231,15 @@ class TestLazyCoverInstance:
         mask covers it, as blocks in candidate order, each with its
         vertex mask; a block made from an entry has the eager mask."""
         inst = CoverInstance.build(n)
+        candidates, masks = eager_candidates(n)
         for k, (a, b) in enumerate(all_pairs(n)):
             listed = inst.covering(a, b)
-            eager = [c for c, m in enumerate(inst.masks) if m >> k & 1]
+            eager = [c for c, m in enumerate(masks) if m >> k & 1]
             blocks = [CanonicalBlock(kind, indices, n) for _, kind, indices in listed]
-            assert blocks == [inst.candidates[c] for c in eager]
+            assert blocks == [candidates[c] for c in eager]
             for (vertices, _, indices), block, c in zip(listed, blocks, eager):
                 assert vertices == sum(1 << (v - 1) for v in indices)
-                assert block_graph(block).mask == inst.masks[c]
+                assert block_graph(block).mask == masks[c]
 
     @pytest.mark.parametrize("n, tried, candidates", [(8, 24, 106), (9, 32, 171), (10, 157, 265)])
     def test_only_tried_candidates_get_a_graph(self, monkeypatch, n, tried, candidates):
@@ -322,8 +329,7 @@ class TestMinProductCover:
             min_product_cover(1)
 
     def test_instance_candidate_order(self):
-        inst = CoverInstance.build(5)
-        kinds = [b.kind for b in inst.candidates]
+        kinds = [b.kind for b in candidate_blocks(5)]
         assert kinds == ["pair"] * 10 + ["quad"] * 5 + ["star"] * 5
 
 
