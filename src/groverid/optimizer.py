@@ -231,27 +231,12 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
     pairs = all_pairs(n)
     pair_vertices = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in pairs]
     max_cover = max(6, 2 * (n - 2), n - 1)
-    # Set up on demand.  A candidate gets an id when a pair's list first
-    # holds it, and its block and pair mask (0 until then) when it is
-    # first tried; its vertex mask tells it apart.
-    cover_lists: list[list[int] | None] = [None] * npairs
-    ids: dict[int, int] = {}
-    vertex_masks: list[int] = []
-    specs: list[tuple[str, tuple[int, ...]]] = []
-    graphs: list[int] = []
+    # Set up on demand, keyed by a candidate's vertex mask, which tells it
+    # apart: a pair's list is made when the search first branches on it,
+    # and a candidate's pair mask and block when it is first tried.
+    cover_lists: list[list[tuple[int, str, tuple[int, ...]]] | None] = [None] * npairs
+    graphs: dict[int, int] = {}
     blocks: dict[int, CanonicalBlock] = {}
-
-    def listed(k: int) -> list[int]:
-        cover = []
-        for vertices, kind, indices in inst.covering(*pairs[k]):
-            if vertices not in ids:
-                ids[vertices] = len(specs)
-                vertex_masks.append(vertices)
-                specs.append((kind, indices))
-                graphs.append(0)
-            cover.append(ids[vertices])
-        return cover
-
     nodes = 0
     failed: dict[int, int] = {}
     chosen: list[int] = []
@@ -269,17 +254,17 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
         free = all_vertices & ~(touched | pair_vertices[branch_bit])
         candidates = cover_lists[branch_bit]
         if candidates is None:
-            candidates = cover_lists[branch_bit] = listed(branch_bit)
-        for c in candidates:
-            new = vertex_masks[c] & free
+            candidates = cover_lists[branch_bit] = inst.covering(*pairs[branch_bit])
+        for vertices, kind, indices in candidates:
+            new = vertices & free
             if free & ((1 << new.bit_length()) - 1) != new:
                 continue
-            mask = graphs[c]
-            if not mask:
-                block = blocks[c] = CanonicalBlock(*specs[c], n)
-                mask = graphs[c] = block_graph(block).mask
-            chosen.append(c)
-            if dfs(uncovered & ~mask, touched | vertex_masks[c], budget - 1):
+            mask = graphs.get(vertices)
+            if mask is None:
+                block = blocks[vertices] = CanonicalBlock(kind, indices, n)
+                mask = graphs[vertices] = block_graph(block).mask
+            chosen.append(vertices)
+            if dfs(uncovered & ~mask, touched | vertices, budget - 1):
                 return True
             chosen.pop()
         failed[uncovered] = budget
@@ -287,7 +272,7 @@ def min_product_cover(n: int, max_n: int = DEFAULT_COVER_CAP) -> CoverSolution:
 
     for t in range(floor, size):
         if dfs((1 << npairs) - 1, 0, t):
-            cover = tuple(blocks[c] for c in chosen)
+            cover = tuple(blocks[v] for v in chosen)
             return CoverSolution(t=len(cover), blocks=cover, nodes_explored=nodes)
     return CoverSolution(t=size, blocks=construct_product_scheme(n).blocks, nodes_explored=nodes)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
+from . import discrimination
 from .discrimination import CanonicalBlock, all_pairs, block_state, pair_count
 from .exceptions import IndistinguishableError, ResourceCapError
 from .oracle import AmpState, Composition, StateTable, _over_common_denominator
@@ -239,10 +240,16 @@ def verify_entangled(w: WeightProfile) -> SchemeReport:
     an identity between integers that loses nothing.  The pair is valid
     exactly when 2 * total == D, and its defect mass - 1/2 is
     (2 * total - D) / (2 * D).  Failing pairs come in ``all_pairs`` order.
-    The pair cap is checked before any column is built.
+    The work is one popcount per pair per class, so the pair cap bounds
+    the classes times C(n,2), checked before any column is built.
     """
     n = w.n
-    pair_count(n)
+    pairs = pair_count(n)
+    classes = len(set(w.numerators))
+    if classes * pairs > discrimination.MAX_PAIRS:
+        raise ResourceCapError(
+            f"{classes} mass classes x {pairs} pairs, over the cap of {discrimination.MAX_PAIRS}"
+        )
     denominator = w.denominator
     columns = _parity_columns(w)
     # The total of a valid pair; an odd D leaves no pair valid.

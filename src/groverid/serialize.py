@@ -24,11 +24,11 @@ def fraction_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def fraction_from_str(text: Any) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise SchemaError(f"expected a 'num/den' string, got {text!r}")
     try:
         return Fraction(text)

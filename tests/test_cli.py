@@ -728,6 +728,20 @@ class TestPairCap:
         path.write_text(json.dumps(doc))
         check_over_cap(capsys, "graph", "--state", str(path))
 
+    def test_verify_profile_with_2000_mass_classes_at_n200(self, capsys, tmp_path):
+        """2000 distinct masses times the 19,900 pairs of n = 200 is
+        about 4 * 10^7 popcounts, over the cap before any column is built."""
+        n, k = 200, 2000
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)][:k - n]
+        comps = [[2 if v == i else 0 for v in range(n)] for i in range(n)]
+        comps += [[1 if v in pair else 0 for v in range(n)] for pair in pairs]
+        total = k * (k + 1) // 2
+        weights = [{"composition": c, "q": str(Fraction(m, total))}
+                   for m, c in enumerate(comps, start=1)]
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"kind": "entangled", "n": n, "t": 2, "weights": weights}))
+        check_over_cap(capsys, "verify", "--scheme", str(path))
+
 
 class TestCapsBeforeWork:
     """Each cap is checked from input sizes before the work it bounds:

@@ -198,6 +198,13 @@ BRANCH_AND_BOUND_COVERS = {
     15: ("4d2c29948b4f294db26e2d888aaf0767bb9cf6f762d585c4ecd05d0c3d967e2d", 148511),
 }
 
+#: The nodes the iteratively deepened search enters, as
+#: ``search --mode product`` prints them.
+ITERATIVE_DEEPENING_NODES = {
+    3: 0, 4: 4, 5: 31, 6: 14, 7: 18, 8: 25, 9: 33, 10: 539, 11: 677, 12: 831,
+    13: 77_382, 14: 110_190, 15: 148_511,
+}
+
 
 class TestIterativeDeepening:
     @pytest.mark.parametrize("n", sorted(BRANCH_AND_BOUND_COVERS))
@@ -210,6 +217,7 @@ class TestIterativeDeepening:
         blocks = repr([(b.kind, b.indices) for b in sol.blocks])
         assert hashlib.sha256(blocks.encode()).hexdigest() == digest
         assert sol.nodes_explored <= nodes
+        assert sol.nodes_explored == ITERATIVE_DEEPENING_NODES[n]
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_every_pair_has_the_same_number_of_candidates(self, n):

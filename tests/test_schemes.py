@@ -361,6 +361,21 @@ class TestParityColumns:
         with pytest.raises(ResourceCapError):
             verify_entangled(builtin("n6-entangled"))
 
+    def test_pair_cap_bounds_mass_classes_times_pairs(self, monkeypatch):
+        """Three distinct masses over the three pairs of n = 3 take nine
+        popcounts: a cap of 9 lets the profile through, 8 does not."""
+        weights = {
+            Composition((1, 0, 0)): Fraction(1, 2),
+            Composition((0, 1, 0)): Fraction(1, 3),
+            Composition((0, 0, 1)): Fraction(1, 6),
+        }
+        profile = WeightProfile(3, 1, weights)
+        monkeypatch.setattr(discrimination, "MAX_PAIRS", 9)
+        assert not verify_entangled(profile).valid
+        monkeypatch.setattr(discrimination, "MAX_PAIRS", 8)
+        with pytest.raises(ResourceCapError):
+            verify_entangled(profile)
+
 
 class TestWeightProfileChecks:
     @pytest.mark.parametrize(

@@ -39,7 +39,7 @@ class TestFractions:
         assert fraction_to_str(Fraction(2, 32)) == "1/16"
 
     def test_bad_strings(self):
-        for bad in ("1/0", "a/b", 3, None, "1.5"):
+        for bad in ("1/0", "a/b", 3, None, "1.5", "1/2\n", "\u0661/\u0662"):
             with pytest.raises(SchemaError):
                 fraction_from_str(bad)
 
